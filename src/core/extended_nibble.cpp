@@ -19,8 +19,8 @@ ExtendedNibbleResult extendedNibble(const net::Tree& tree,
                                : options.mappingRoot;
   const net::RootedTree rooted(tree, root);
 
-  // --- Step 1: nibble. Objects are independent; stripe them over the
-  // configured worker threads (bit-identical to the sequential loop).
+  // --- Step 1: nibble. Objects are independent; split them over the
+  // configured pool workers (bit-identical to the sequential loop).
   // Each worker owns one NibbleScratch, so the O(|V|) BFS / subtree-weight
   // vectors are allocated once per thread, not once per object.
   const int workers = resolveWorkerCount(options.threads, load.numObjects());

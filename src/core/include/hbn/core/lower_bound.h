@@ -18,6 +18,8 @@
 //     enough for the biggest sweeps).
 #pragma once
 
+#include <vector>
+
 #include "hbn/core/load.h"
 #include "hbn/net/rooted.h"
 #include "hbn/workload/workload.h"
@@ -73,6 +75,11 @@ struct LowerBound {
 /// recomputing O(|X| · |V|) every epoch. All arithmetic is the same
 /// integer Count math as analyticLowerBound, so congestion() is
 /// bit-identical to a full recomputation at every point.
+///
+/// Parallel refresh: accumulate() is const and writes only to
+/// caller-owned buffers, so workers refreshing disjoint objects each
+/// collect a signed delta LoadMap and merge() them after the join —
+/// integer sums, so the result is the same for any worker count.
 class IncrementalLowerBound {
  public:
   explicit IncrementalLowerBound(const net::RootedTree& rooted);
@@ -86,6 +93,16 @@ class IncrementalLowerBound {
   /// mutating it.
   void add(workload::ObjectId x, const workload::Workload& load);
 
+  /// Adds `sign` × object x's per-edge minima, computed from its
+  /// current row in `load`, onto `delta`. `subtree` is caller-owned
+  /// scratch (resized as needed). Reads only row x and immutable tree
+  /// tables, so calls for distinct objects may run concurrently.
+  void accumulate(workload::ObjectId x, const workload::Workload& load,
+                  Count sign, std::vector<Count>& subtree,
+                  LoadMap& delta) const;
+  /// Adds a delta collected by accumulate() onto the tracked bound.
+  void merge(const LoadMap& delta);
+
   /// The congestion lower bound of the tracked workload.
   [[nodiscard]] double congestion() const;
   [[nodiscard]] const LoadMap& edgeMinima() const noexcept {
@@ -93,12 +110,8 @@ class IncrementalLowerBound {
   }
 
  private:
-  void apply(workload::ObjectId x, const workload::Workload& load,
-             Count sign);
-
   const net::RootedTree* rooted_;
   LoadMap minima_;
-  std::vector<Count> sub_;  ///< per-call subtree-sum scratch
 };
 
 }  // namespace hbn::core

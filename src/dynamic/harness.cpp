@@ -11,7 +11,8 @@ namespace hbn::dynamic {
 void bucketRequestsByObject(std::span<const Request> requests,
                             int numObjects,
                             std::span<std::size_t> offsets,
-                            std::span<Request> bucketed) {
+                            std::span<Request> bucketed,
+                            std::vector<ObjectId>* touched) {
   if (offsets.size() != static_cast<std::size_t>(numObjects) + 1 ||
       bucketed.size() != requests.size()) {
     throw std::invalid_argument("bucketRequestsByObject: buffer sizes");
@@ -23,7 +24,11 @@ void bucketRequestsByObject(std::span<const Request> requests,
     }
     ++offsets[static_cast<std::size_t>(request.object) + 1];
   }
+  if (touched != nullptr) touched->clear();
   for (std::size_t x = 0; x < static_cast<std::size_t>(numObjects); ++x) {
+    if (touched != nullptr && offsets[x + 1] != 0) {
+      touched->push_back(static_cast<ObjectId>(x));
+    }
     offsets[x + 1] += offsets[x];
   }
   // Scatter using offsets[x] as the cursor, then shift the (now

@@ -37,13 +37,16 @@ namespace hbn::dynamic {
 /// fills `offsets` so object x's run is
 /// bucketed[offsets[x], offsets[x+1]). `offsets` must have
 /// numObjects + 1 entries and `bucketed` requests.size() entries; every
-/// request's object id must lie in [0, numObjects). Allocation-free —
-/// shared by the epoch server's per-epoch sharding, the competitive
-/// harness, and the load-engine benchmark.
+/// request's object id must lie in [0, numObjects). When `touched` is
+/// given it is cleared and receives the ids with a nonempty run,
+/// ascending — the epoch's work list. Allocation-free (given `touched`
+/// capacity) — shared by the epoch server's per-epoch sharding, the
+/// competitive harness, and the load-engine benchmark.
 void bucketRequestsByObject(std::span<const Request> requests,
                             int numObjects,
                             std::span<std::size_t> offsets,
-                            std::span<Request> bucketed);
+                            std::span<Request> bucketed,
+                            std::vector<ObjectId>* touched = nullptr);
 
 /// Flattens a static workload into a uniformly shuffled request sequence.
 [[nodiscard]] std::vector<Request> sequenceFromWorkload(

@@ -86,8 +86,8 @@ class HandoffPass {
 /// configuration plus shard serving. The serving contract mirrors
 /// OnlineTreeStrategy::serveShard — calls for distinct objects touch
 /// disjoint mutable state and only read shared immutable structure, so
-/// the epoch server may run them concurrently (one worker per object
-/// stripe, each with its own scratch, LoadMap, and accumulator) and the
+/// the epoch server may run them concurrently (one worker per chunk of
+/// objects, each with its own scratch, LoadMap, and accumulator) and the
 /// merged result is bit-identical for 1 vs N threads.
 class OnlinePolicy {
  public:

@@ -90,8 +90,8 @@ class OnlineTreeStrategy {
   /// copy-subtree state, accumulating load into the caller's `loads`
   /// instead of the strategy-owned map. Calls for distinct objects touch
   /// disjoint state and only read the shared tree, so the epoch server
-  /// may run them concurrently — one worker per object stripe, each with
-  /// its own scratch and LoadMap.
+  /// may run them concurrently — one worker per chunk of objects, each
+  /// with its own scratch and LoadMap.
   ///
   /// When `acc` is non-null and the shard is at least
   /// core::kFlatLoadCutover requests (the adaptive cutover — tiny shards

@@ -6,7 +6,6 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 
 #ifdef __unix__
 #include <sys/utsname.h>
@@ -117,8 +116,8 @@ std::string BenchReporter::writeFile(const std::string& dir,
   records_.field("host", hostName());
   records_.field("os", osName());
   records_.field("compiler", compilerName());
-  records_.field(
-      "cpus", static_cast<std::int64_t>(std::thread::hardware_concurrency()));
+  records_.field("cpus",
+                 static_cast<std::int64_t>(::sysconf(_SC_NPROCESSORS_ONLN)));
 
   std::string path = dir.empty() ? "." : dir;
   std::filesystem::create_directories(path);

@@ -1,12 +1,12 @@
 // Object-sharded parallel executor for per-object placement strategies.
 //
 // The paper's algorithms place each object independently in O(|V|), so a
-// production engine shards the object range over a std::thread pool. The
-// executor owns the two ingredients that make this fast *and*
-// deterministic:
-//   * per-thread scratch state (e.g. core::NibbleScratch), constructed
-//     once per worker and reused for every object of its stripe, so the
-//     hot path performs no per-object allocation;
+// production engine shards the object range over the process-wide worker
+// pool (core::parallelForObjects). The executor owns the two ingredients
+// that make this fast *and* deterministic:
+//   * per-worker scratch state (e.g. core::NibbleScratch), constructed
+//     once per worker and reused for every object of its id range, so
+//     the hot path performs no per-object allocation;
 //   * a deterministic merge: each object writes only its own preallocated
 //     slot, so the assembled Placement is bit-identical for 1 vs N threads.
 #pragma once

@@ -10,6 +10,7 @@
 #include "hbn/core/lower_bound.h"
 #include "hbn/core/parallel.h"
 #include "hbn/dynamic/harness.h"
+#include "hbn/serve/epoch_body.h"
 #include "hbn/serve/error.h"
 #include "hbn/util/timer.h"
 #include "hbn/workload/serialize.h"
@@ -67,27 +68,12 @@ ServeReport EpochServer::serve(RequestStream& stream) {
                      logBase_ + log_.size());
   util::FaultInjector* const faults = options_.faults.get();
 
-  std::vector<core::LoadMap> workerLoads;       // serve + update traffic
-  std::vector<core::LoadMap> workerMigration;   // lazy handoff traffic
-  workerLoads.reserve(static_cast<std::size_t>(workers));
-  workerMigration.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    workerLoads.emplace_back(edgeCount);
-    workerMigration.emplace_back(edgeCount);
-  }
-  std::vector<dynamic::ShardStats> workerStats(
-      static_cast<std::size_t>(workers));
-  std::vector<dynamic::ServeScratch> workerScratch(
-      static_cast<std::size_t>(workers));
-  // One difference-counting accumulator per worker over the shared flat
-  // view: serveShard batches each object's path charges through it and
-  // flushes exact integer loads into the worker's LoadMap, so the merge
-  // below is unchanged and bit-identical for any worker count.
-  std::vector<core::FlatLoadAccumulator> workerAcc;
-  workerAcc.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    workerAcc.emplace_back(policy_->flatView());
-  }
+  // Per-worker loads, counters, scratch and lower-bound deltas for the
+  // object-parallel serve step (see hbn/serve/epoch_body.h); each
+  // worker's difference-counting accumulator batches its objects' path
+  // charges over the shared flat view.
+  std::vector<EpochWorker> slots =
+      makeEpochWorkers(*policy_, edgeCount, workers);
 
   ServeReport report;
   report.policy = options_.policy;
@@ -113,102 +99,62 @@ ServeReport EpochServer::serve(RequestStream& stream) {
     const std::uint64_t epochIndex = logBase_ + log_.size();
     if (acquired.degraded) ++degradedEpochs_;
 
-    // Stage 2: shard the epoch over the object range — whole objects
-    // per worker, per-worker loads/stats/scratch, no shared mutable
-    // state. A worker first applies any handoff passes its object has
-    // not migrated through yet (stage 3's lazy application; exclusive
-    // by striping, RCU-guarded against schedule republication), then
-    // serves the shard against the up-to-date copy configuration — so
-    // per-object state trajectories match barrier mode exactly.
-    for (int w = 0; w < workers; ++w) {
-      workerLoads[static_cast<std::size_t>(w)].clear();
-      workerMigration[static_cast<std::size_t>(w)].clear();
-      workerStats[static_cast<std::size_t>(w)] = {};
-    }
+    // Stage 2: the epoch's touched objects, split into request-weighted
+    // chunks over the worker pool. Per object, a worker first applies
+    // any handoff passes the object has not migrated through yet (stage
+    // 3's lazy application; exclusive by the split, RCU-guarded against
+    // schedule republication), serves it against the up-to-date copy
+    // configuration, then folds its requests into aggregated_ and its
+    // lower-bound term into the worker's delta — so per-object state
+    // trajectories match barrier mode exactly. Untouched objects keep
+    // their stale copy sets: they receive no traffic, and deferring them
+    // is exactly what keeps the handoff lump out of the epochs (they
+    // migrate on a later touch or in the end-of-stream drain).
+    for (EpochWorker& slot : slots) slot.clear();
     const std::uint64_t targetVersion = passesBegun_;
-    core::parallelForObjects(
-        numObjects_, options_.threads, [&](ObjectId x, int worker) {
-          // Injected worker failure: thrown as a structured Serve error,
-          // propagated deterministically by parallelForObjects (lowest
-          // stripe wins) and through serve() — the kill the checkpoint
-          // recovery tests restart from.
+    forEachTouchedChunk(
+        batch->touched, batch->offsets, workers,
+        [&](std::span<const ObjectId> chunk, int worker) {
+          // Injected worker failure, once per (epoch, worker) — empty
+          // chunks included, so every worker stays addressable — thrown
+          // as a structured Serve error, propagated deterministically by
+          // the pool (lowest worker wins) and through serve(): the kill
+          // the checkpoint recovery tests restart from.
           if (faults != nullptr &&
               faults->fire(util::FaultKind::ShardThrow, epochIndex, worker)) {
             throw Error(Stage::Serve, epochIndex,
                         "injected shard failure (worker " +
                             std::to_string(worker) + ")");
           }
-          const std::size_t begin = batch->offsets[static_cast<std::size_t>(x)];
-          const std::size_t end =
-              batch->offsets[static_cast<std::size_t>(x) + 1];
-          // Untouched objects keep their stale copy sets — they receive
-          // no traffic, so serving state cannot diverge from barrier
-          // mode, and deferring them is exactly what keeps the handoff
-          // lump out of the epochs (they migrate on a later touch or in
-          // the end-of-stream drain).
-          if (begin == end) return;
-          const auto w = static_cast<std::size_t>(worker);
-          if (appliedVersion_[static_cast<std::size_t>(x)] < targetVersion) {
-            applyPendingMigrations(x, worker, targetVersion,
-                                   workerMigration[w], workerAcc[w]);
+          EpochWorker& slot = slots[static_cast<std::size_t>(worker)];
+          for (const ObjectId x : chunk) {
+            const auto row = static_cast<std::size_t>(x);
+            if (appliedVersion_[row] < targetVersion) {
+              applyPendingMigrations(x, worker, targetVersion,
+                                     slot.migration, slot.acc);
+            }
+            const std::size_t begin = batch->offsets[row];
+            const std::size_t end = batch->offsets[row + 1];
+            serveAndAggregate(
+                *policy_, x,
+                std::span<const RequestEvent>(batch->bucketed.data() + begin,
+                                              end - begin),
+                true, aggregated_, lowerBound_, slot);
           }
-          const dynamic::ShardStats stats = policy_->serveShard(
-              x, std::span<const RequestEvent>(batch->bucketed.data() + begin,
-                                               end - begin),
-              workerLoads[w], workerScratch[w], &workerAcc[w]);
-          workerStats[w].replications += stats.replications;
-          workerStats[w].invalidations += stats.invalidations;
         });
 
-    // Deterministic merge: integer edge loads and counters sum the same
-    // for any worker count. Serve traffic feeds both the total and the
-    // serve-only map (the drift trigger's input); migration traffic
-    // feeds the total only.
-    for (int w = 0; w < workers; ++w) {
-      const auto& served = workerLoads[static_cast<std::size_t>(w)];
-      const auto& migrated = workerMigration[static_cast<std::size_t>(w)];
-      for (net::EdgeId e = 0; e < edgeCount; ++e) {
-        const core::Count serveLoad = served.edgeLoad(e);
-        if (serveLoad != 0) {
-          loads_.addEdgeLoad(e, serveLoad);
-          serveLoads_.addEdgeLoad(e, serveLoad);
-        }
-        const core::Count migrationLoad = migrated.edgeLoad(e);
-        if (migrationLoad != 0) loads_.addEdgeLoad(e, migrationLoad);
-      }
-      replications_ += workerStats[static_cast<std::size_t>(w)].replications;
-      invalidations_ +=
-          workerStats[static_cast<std::size_t>(w)].invalidations;
-    }
-    // Aggregate the epoch's frequencies AFTER serving it. The ordering
-    // is what lets handoff passes read the live matrix with zero copy:
-    // a pass applies to object x on x's first touch after the trigger,
-    // and x's row only mutates when x is touched — so at application
-    // time (before this epoch's aggregation) the row is bit-equal to
-    // its trigger-time value. The lower bound after epoch k still sees
-    // the traffic of epochs <= k, exactly as the barrier engine did.
-    // Around the aggregation, refresh the incremental lower bound for
-    // exactly the touched objects (remove against the old row, add
-    // against the new one).
-    for (ObjectId x = 0; x < numObjects_; ++x) {
-      if (batch->offsets[static_cast<std::size_t>(x)] !=
-          batch->offsets[static_cast<std::size_t>(x) + 1]) {
-        lowerBound_.remove(x, aggregated_);
-      }
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      const RequestEvent& ev = batch->raw[i];
-      if (ev.isWrite) {
-        aggregated_.addWrites(ev.object, ev.origin, 1);
-      } else {
-        aggregated_.addReads(ev.object, ev.origin, 1);
-      }
-    }
-    for (ObjectId x = 0; x < numObjects_; ++x) {
-      if (batch->offsets[static_cast<std::size_t>(x)] !=
-          batch->offsets[static_cast<std::size_t>(x) + 1]) {
-        lowerBound_.add(x, aggregated_);
-      }
+    // Deterministic merge: integer edge loads, counters and lower-bound
+    // deltas sum the same for any worker count. Serve traffic feeds both
+    // the total and the serve-only map (the drift trigger's input);
+    // migration traffic feeds the total only. The lower bound after
+    // epoch k sees the traffic of epochs <= k, as in the barrier engine.
+    for (const EpochWorker& slot : slots) {
+      addLoads(loads_, slot.serveLoads);
+      addLoads(serveLoads_, slot.serveLoads);
+      addLoads(loads_, slot.migration);
+      lowerBound_.merge(slot.lowerBound);
+      replications_ += slot.stats.replications;
+      invalidations_ += slot.stats.invalidations;
     }
 
     servedTotal_ += n;
@@ -238,7 +184,7 @@ ServeReport EpochServer::serve(RequestStream& stream) {
       if (!options_.pipeline) {
         // Barrier mode: stop the world and migrate every object inside
         // the drift epoch, like the pre-pipeline engine.
-        drainAllPasses(workerMigration, workerAcc, workers);
+        drainAllPasses(slots);
         retireAppliedPasses();
         record.congestion = loads_.congestion(tree);  // migration included
       }
@@ -253,7 +199,7 @@ ServeReport EpochServer::serve(RequestStream& stream) {
     // is unchanged too.
     if (!options_.checkpointDir.empty() &&
         (epochIndex + 1) % options_.checkpointEvery == 0) {
-      drainAllPasses(workerMigration, workerAcc, workers);
+      drainAllPasses(slots);
       retireAppliedPasses();
       record.congestion = loads_.congestion(tree);  // migration included
       try {
@@ -300,7 +246,7 @@ ServeReport EpochServer::serve(RequestStream& stream) {
   // drain is outside any epoch, so it never shows up in epoch or
   // latency percentiles — in a live system it is exactly the work that
   // keeps happening in the background after the last request.
-  drainAllPasses(workerMigration, workerAcc, workers);
+  drainAllPasses(slots);
   retireAppliedPasses();
 
   // Final checkpoint: a restart resumes from exactly end-of-run state
@@ -349,11 +295,12 @@ ServeReport EpochServer::serve(RequestStream& stream) {
 void EpochServer::beginPass(int workers, std::uint64_t epoch) {
   // Hand the policy the live aggregated matrix without copying it: a
   // lazy target for object x is only ever queried on x's first touch
-  // after this trigger, and because epochs aggregate after they serve,
-  // x's row is still bit-equal to its trigger-time value at that
-  // moment. Row-local passes (nibble) therefore need no snapshot at
-  // all; a policy whose pass reads other rows at target() time must
-  // copy inside beginHandoff (see the HandoffPass contract).
+  // after this trigger, and because a worker migrates x before it
+  // serves and aggregates x, x's row is still bit-equal to its
+  // trigger-time value at that moment. Row-local passes (nibble)
+  // therefore need no snapshot at all; a policy whose pass reads other
+  // rows at target() time must copy inside beginHandoff (see the
+  // HandoffPass contract) — other workers are writing those rows.
   const std::shared_ptr<const workload::Workload> snapshot(
       std::shared_ptr<const workload::Workload>(), &aggregated_);
   auto pass = std::make_unique<PassState>();
@@ -414,31 +361,20 @@ void EpochServer::applyPendingMigrations(ObjectId x, int worker,
   }
 }
 
-void EpochServer::drainAllPasses(
-    std::vector<core::LoadMap>& workerMigration,
-    std::vector<core::FlatLoadAccumulator>& workerAcc, int workers) {
+void EpochServer::drainAllPasses(std::vector<EpochWorker>& slots) {
   if (pendingPasses_.empty()) return;
-  const net::Tree& tree = rooted_->tree();
-  for (int w = 0; w < workers; ++w) {
-    workerMigration[static_cast<std::size_t>(w)].clear();
-  }
+  for (EpochWorker& slot : slots) slot.migration.clear();
   const std::uint64_t targetVersion = passesBegun_;
   core::parallelForObjects(
       numObjects_, options_.threads, [&](ObjectId x, int worker) {
         if (appliedVersion_[static_cast<std::size_t>(x)] >= targetVersion) {
           return;
         }
-        const auto w = static_cast<std::size_t>(worker);
-        applyPendingMigrations(x, worker, targetVersion, workerMigration[w],
-                               workerAcc[w]);
+        EpochWorker& slot = slots[static_cast<std::size_t>(worker)];
+        applyPendingMigrations(x, worker, targetVersion, slot.migration,
+                               slot.acc);
       });
-  for (int w = 0; w < workers; ++w) {
-    const auto& partial = workerMigration[static_cast<std::size_t>(w)];
-    for (net::EdgeId e = 0; e < tree.edgeCount(); ++e) {
-      const core::Count load = partial.edgeLoad(e);
-      if (load != 0) loads_.addEdgeLoad(e, load);
-    }
-  }
+  for (const EpochWorker& slot : slots) addLoads(loads_, slot.migration);
 }
 
 void EpochServer::retireAppliedPasses() {

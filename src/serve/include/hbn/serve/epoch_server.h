@@ -7,27 +7,32 @@
 //            dedicated thread (EpochIngest, double-buffered) while
 //            epoch N is being served — bucketing cost leaves the
 //            critical path.
-//   serve    the epoch is sharded across the object range by a worker
-//            pool: every worker serves whole objects through
-//            OnlinePolicy::serveShard with its own scratch and LoadMap,
-//            so the hot path performs no synchronisation and the merged
+//   serve    the epoch's touched objects are split into request-
+//            weighted chunks over the process-wide worker pool: every
+//            worker serves whole objects through OnlinePolicy::
+//            serveShard, folds them into the aggregated matrix and
+//            refreshes their lower-bound terms, with its own scratch,
+//            LoadMaps and lower-bound delta (hbn/serve/epoch_body.h), so
+//            the hot path performs no synchronisation and the merged
 //            result — integer edge loads, replication counts, copy
-//            sets — is bit-identical for 1 vs N threads.
+//            sets, frequencies, the bound — is bit-identical for 1 vs N
+//            threads.
 //   re-place the paper's §4 dynamic-to-static handoff runs without
 //            stopping the world: when realised serve congestion drifts
 //            a configurable factor above the analytic lower bound, the
 //            policy opens a HandoffPass over the trigger-time
-//            aggregated frequencies (zero-copy: epochs aggregate after
-//            they serve, so an object's row is still bit-equal to its
-//            trigger-time value when its lazy target is queried — see
-//            the HandoffPass contract), and the pass is published to
-//            the workers RCU-style (util::RcuCell: atomic schedule swap
-//            + epoch-grace reclamation). Each object migrates lazily —
-//            on its next touch, or in the end-of-stream drain — with
-//            its Steiner migration traffic charged exactly once, so the
-//            final ServeReport counters are bit-identical to barrier
-//            mode; only the *timing* of migration work moves off the
-//            drift epoch, which is what flattens the p99 spike.
+//            aggregated frequencies (zero-copy: an object aggregates
+//            only after it migrates and serves, so its row is still
+//            bit-equal to its trigger-time value when its lazy target
+//            is queried — see the HandoffPass contract), and the pass
+//            is published to the workers RCU-style (util::RcuCell:
+//            atomic schedule swap + epoch-grace reclamation). Each
+//            object migrates lazily — on its next touch, or in the
+//            end-of-stream drain — with its Steiner migration traffic
+//            charged exactly once, so the final ServeReport counters
+//            are bit-identical to barrier mode; only the *timing* of
+//            migration work moves off the drift epoch, which is what
+//            flattens the p99 spike.
 //
 // ServeOptions.pipeline = false restores the barrier engine: ingest
 // runs inline and every handoff pass is drained immediately inside the
@@ -60,6 +65,7 @@
 #include "hbn/net/rooted.h"
 #include "hbn/serve/checkpoint.h"
 #include "hbn/serve/drift.h"
+#include "hbn/serve/epoch_body.h"
 #include "hbn/serve/pipeline.h"
 #include "hbn/serve/request_stream.h"
 #include "hbn/util/fault.h"
@@ -289,18 +295,16 @@ class EpochServer {
   /// exhaustion throws serve::Error{Handoff, epoch}.
   void beginPass(int workers, std::uint64_t epoch);
   /// Applies every pass still pending for `x`, charging migration
-  /// traffic into `migration` via `acc`. Called from workers (object
-  /// striping makes x exclusive) under an RCU read guard.
+  /// traffic into `migration` via `acc`. Called from workers (the
+  /// object split makes x exclusive) under an RCU read guard.
   void applyPendingMigrations(ObjectId x, int worker,
                               std::uint64_t targetVersion,
                               core::LoadMap& migration,
                               core::FlatLoadAccumulator& acc);
   /// Applies all pending passes to every object now (the barrier drain
-  /// and the end-of-stream drain), merging migration traffic into
-  /// loads_.
-  void drainAllPasses(std::vector<core::LoadMap>& workerMigration,
-                      std::vector<core::FlatLoadAccumulator>& workerAcc,
-                      int workers);
+  /// and the end-of-stream drain) on the per-worker slots, merging
+  /// migration traffic into loads_.
+  void drainAllPasses(std::vector<EpochWorker>& slots);
   /// Pops fully applied passes off the front of the pending queue,
   /// republishes the schedule and reclaims through the grace period.
   void retireAppliedPasses();

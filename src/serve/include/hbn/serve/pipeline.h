@@ -50,14 +50,17 @@
 namespace hbn::serve {
 
 /// One in-flight epoch: the raw arrival-order requests, the stable
-/// object-bucketed copy with its CSR offsets, and per-chunk arrival
-/// stamps.
+/// object-bucketed copy with its CSR offsets and touched-object list,
+/// and per-chunk arrival stamps.
 struct EpochBatch {
   using Clock = std::chrono::steady_clock;
 
   std::vector<RequestEvent> raw;
   std::vector<RequestEvent> bucketed;
   std::vector<std::size_t> offsets;  ///< numObjects + 1 CSR offsets
+  /// Objects with at least one request this epoch, ascending — the
+  /// serve step's work list, built with the offsets on the ingest side.
+  std::vector<workload::ObjectId> touched;
   /// (arrival stamp, requests that arrived with it), one per fill chunk.
   std::vector<std::pair<Clock::time_point, std::size_t>> arrivals;
   std::size_t n = 0;  ///< requests in this epoch
@@ -119,6 +122,8 @@ class EpochIngest {
   [[nodiscard]] std::uint64_t bufferBytes() const noexcept;
 
  private:
+  /// Sizes a batch's buffers for this ingest's epoch and object count.
+  void sizeBatch(EpochBatch& batch) const;
   /// Chunked fill + validate + bucket of one epoch into `batch`.
   void fillBatch(EpochBatch& batch);
   /// Claims the next epoch number and fills `batch` while holding

@@ -23,6 +23,8 @@ std::uint64_t EpochBatch::bufferBytes() const noexcept {
              sizeof(RequestEvent) +
          static_cast<std::uint64_t>(offsets.capacity()) *
              sizeof(std::size_t) +
+         static_cast<std::uint64_t>(touched.capacity()) *
+             sizeof(workload::ObjectId) +
          static_cast<std::uint64_t>(arrivals.capacity()) *
              sizeof(arrivals[0]);
 }
@@ -42,12 +44,7 @@ EpochIngest::EpochIngest(RequestStream& stream, const net::Tree& tree,
     throw std::invalid_argument("EpochIngest: epochSize >= 1");
   }
   const std::size_t slotCount = threaded_ ? 2 : 1;
-  for (std::size_t s = 0; s < slotCount; ++s) {
-    slots_[s].raw.resize(epochSize_);
-    slots_[s].bucketed.resize(epochSize_);
-    slots_[s].offsets.resize(static_cast<std::size_t>(numObjects_) + 1);
-    slots_[s].arrivals.reserve(kIngestChunks);
-  }
+  for (std::size_t s = 0; s < slotCount; ++s) sizeBatch(slots_[s]);
   // Launch last: everything the thread touches is initialised, and the
   // RAII shutdown() below joins it on every exit path after this point.
   if (threaded_) {
@@ -65,6 +62,15 @@ void EpochIngest::shutdown() noexcept {
   }
   freeCv_.notify_all();
   worker_.join();
+}
+
+void EpochIngest::sizeBatch(EpochBatch& batch) const {
+  batch.raw.resize(epochSize_);
+  batch.bucketed.resize(epochSize_);
+  batch.offsets.resize(static_cast<std::size_t>(numObjects_) + 1);
+  batch.touched.reserve(
+      std::min(epochSize_, static_cast<std::size_t>(numObjects_)));
+  batch.arrivals.reserve(kIngestChunks);
 }
 
 void EpochIngest::fillBatch(EpochBatch& batch) {
@@ -93,7 +99,8 @@ void EpochIngest::fillBatch(EpochBatch& batch) {
   dynamic::bucketRequestsByObject(
       std::span<const RequestEvent>(batch.raw.data(), batch.n), numObjects_,
       batch.offsets,
-      std::span<RequestEvent>(batch.bucketed.data(), batch.n));
+      std::span<RequestEvent>(batch.bucketed.data(), batch.n),
+      &batch.touched);
 }
 
 bool EpochIngest::fillNextEpoch(EpochBatch& batch) {
@@ -237,12 +244,7 @@ AcquireResult EpochIngest::acquireFor(double timeoutMs) {
       return {nullptr, false};
     }
   }
-  if (degraded_.offsets.empty()) {
-    degraded_.raw.resize(epochSize_);
-    degraded_.bucketed.resize(epochSize_);
-    degraded_.offsets.resize(static_cast<std::size_t>(numObjects_) + 1);
-    degraded_.arrivals.reserve(kIngestChunks);
-  }
+  if (degraded_.offsets.empty()) sizeBatch(degraded_);
   if (!fillNextEpoch(degraded_)) {
     {
       std::lock_guard<std::mutex> lock(mutex_);

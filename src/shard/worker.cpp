@@ -14,6 +14,7 @@
 #include "hbn/dynamic/online_policy.h"
 #include "hbn/net/rooted.h"
 #include "hbn/net/serialize.h"
+#include "hbn/serve/epoch_body.h"
 #include "hbn/serve/error.h"
 #include "hbn/shard/partition.h"
 #include "hbn/util/timer.h"
@@ -32,8 +33,8 @@ using workload::RequestEvent;
 /// and make the metric meaningless on small machines. The thread clock
 /// counts only cycles this worker spent. Exact while the shard serves
 /// on the transport thread (threads <= 1, the benchmark shape); with
-/// worker-internal serve threads the stripes bill their own clocks and
-/// busyMs undercounts — the honest wall clock is reported alongside.
+/// more threads the pool's helpers bill their own clocks and busyMs
+/// undercounts — the honest wall clock is reported alongside.
 double threadCpuMs() {
   timespec ts{};
   ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
@@ -60,17 +61,13 @@ class ShardWorker {
         aggregated_(hello.numObjects, tree_.nodeCount()),
         lowerBound_(rooted_),
         epochServeLoads_(tree_.edgeCount()),
-        offsets_(static_cast<std::size_t>(hello.numObjects) + 1, 0) {
-    const int workers = core::resolveWorkerCount(threads_, numObjects_);
-    workerLoads_.reserve(static_cast<std::size_t>(workers));
-    workerAcc_.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w) {
-      workerLoads_.emplace_back(tree_.edgeCount());
-      workerAcc_.emplace_back(policy_->flatView());
+        offsets_(static_cast<std::size_t>(hello.numObjects) + 1, 0),
+        slots_(serve::makeEpochWorkers(
+            *policy_, tree_.edgeCount(),
+            core::resolveWorkerCount(threads_, numObjects_))) {
+    for (ObjectId x = 0; x < numObjects_; ++x) {
+      if (partition_.ownerOf(x) == shardId_) owned_.push_back(x);
     }
-    workerStats_.resize(static_cast<std::size_t>(workers));
-    workerScratch_.resize(static_cast<std::size_t>(workers));
-    servedThisEpoch_.assign(static_cast<std::size_t>(workers), 0);
     lowerBound_.rebuild(aggregated_);
   }
 
@@ -130,72 +127,40 @@ class ShardWorker {
     }
     bucketed_.resize(n);
     dynamic::bucketRequestsByObject(msg.events, numObjects_, offsets_,
-                                    bucketed_);
+                                    bucketed_, &touched_);
 
-    // Serve owned∩touched objects only — the shard's slice of the
-    // epoch. Identical bucketing plus per-object serving means the
-    // union over shards reproduces the single-process epoch exactly.
-    const int workers = static_cast<int>(workerLoads_.size());
-    for (int w = 0; w < workers; ++w) {
-      workerLoads_[static_cast<std::size_t>(w)].clear();
-      workerStats_[static_cast<std::size_t>(w)] = {};
-    }
-    core::parallelForObjects(
-        numObjects_, threads_, [&](ObjectId x, int worker) {
-          const std::size_t begin = offsets_[static_cast<std::size_t>(x)];
-          const std::size_t end = offsets_[static_cast<std::size_t>(x) + 1];
-          if (begin == end) return;
-          if (partition_.ownerOf(x) != shardId_) return;
-          const auto w = static_cast<std::size_t>(worker);
-          const dynamic::ShardStats stats = policy_->serveShard(
-              x,
-              std::span<const RequestEvent>(bucketed_.data() + begin,
-                                            end - begin),
-              workerLoads_[w], workerScratch_[w], &workerAcc_[w]);
-          workerStats_[w].replications += stats.replications;
-          workerStats_[w].invalidations += stats.invalidations;
-          servedThisEpoch_[w] += end - begin;
+    // The single-process per-object epoch body over every touched
+    // object: serve owned ones only — the shard's slice of the epoch —
+    // and fold ALL of them into the full frequency matrix and its
+    // incremental lower bound. Identical bucketing plus per-object
+    // serving means the union over shards reproduces the single-process
+    // epoch exactly, and every shard holding the complete matrix keeps
+    // handoff placements that read other rows shard-count independent.
+    const int workers = static_cast<int>(slots_.size());
+    for (serve::EpochWorker& slot : slots_) slot.clear();
+    serve::forEachTouchedChunk(
+        touched_, offsets_, workers,
+        [&](std::span<const ObjectId> chunk, int worker) {
+          serve::EpochWorker& slot = slots_[static_cast<std::size_t>(worker)];
+          for (const ObjectId x : chunk) {
+            const std::size_t begin = offsets_[static_cast<std::size_t>(x)];
+            const std::size_t end = offsets_[static_cast<std::size_t>(x) + 1];
+            serve::serveAndAggregate(
+                *policy_, x,
+                std::span<const RequestEvent>(bucketed_.data() + begin,
+                                              end - begin),
+                partition_.ownerOf(x) == shardId_, aggregated_, lowerBound_,
+                slot);
+          }
         });
 
     epochServeLoads_.clear();
-    std::uint64_t served = 0;
-    for (int w = 0; w < workers; ++w) {
-      const auto& partial = workerLoads_[static_cast<std::size_t>(w)];
-      for (net::EdgeId e = 0; e < tree_.edgeCount(); ++e) {
-        const core::Count load = partial.edgeLoad(e);
-        if (load != 0) epochServeLoads_.addEdgeLoad(e, load);
-      }
-      replications_ += workerStats_[static_cast<std::size_t>(w)].replications;
-      invalidations_ +=
-          workerStats_[static_cast<std::size_t>(w)].invalidations;
-      served += servedThisEpoch_[static_cast<std::size_t>(w)];
-      servedThisEpoch_[static_cast<std::size_t>(w)] = 0;
-    }
-    servedRequests_ += served;
-
-    // Full-matrix aggregation in the single-process order: remove the
-    // touched objects' lower-bound terms, fold ALL events (owned or
-    // not) into the matrix in arrival order, re-add the touched terms.
-    // Every shard holds the complete matrix, so handoff placements that
-    // read other rows stay shard-count independent.
-    for (ObjectId x = 0; x < numObjects_; ++x) {
-      if (offsets_[static_cast<std::size_t>(x)] !=
-          offsets_[static_cast<std::size_t>(x) + 1]) {
-        lowerBound_.remove(x, aggregated_);
-      }
-    }
-    for (const RequestEvent& ev : msg.events) {
-      if (ev.isWrite) {
-        aggregated_.addWrites(ev.object, ev.origin, 1);
-      } else {
-        aggregated_.addReads(ev.object, ev.origin, 1);
-      }
-    }
-    for (ObjectId x = 0; x < numObjects_; ++x) {
-      if (offsets_[static_cast<std::size_t>(x)] !=
-          offsets_[static_cast<std::size_t>(x) + 1]) {
-        lowerBound_.add(x, aggregated_);
-      }
+    for (const serve::EpochWorker& slot : slots_) {
+      serve::addLoads(epochServeLoads_, slot.serveLoads);
+      lowerBound_.merge(slot.lowerBound);
+      replications_ += slot.stats.replications;
+      invalidations_ += slot.stats.invalidations;
+      servedRequests_ += slot.served;
     }
 
     StatsMsg stats;
@@ -243,7 +208,7 @@ class ShardWorker {
   /// single-process engine runs inside drift epochs.
   void applyReplacement() {
     const double busyStart = threadCpuMs();
-    const int workers = static_cast<int>(workerLoads_.size());
+    const int workers = static_cast<int>(slots_.size());
     const std::shared_ptr<const workload::Workload> snapshot(
         std::shared_ptr<const workload::Workload>(), &aggregated_);
     std::unique_ptr<dynamic::HandoffPass> pass = [&] {
@@ -253,26 +218,25 @@ class ShardWorker {
         throw serve::Error(serve::Stage::Handoff, epoch_, e.what());
       }
     }();
-    for (int w = 0; w < workers; ++w) {
-      workerLoads_[static_cast<std::size_t>(w)].clear();
-    }
-    core::parallelForObjects(
-        numObjects_, threads_, [&](ObjectId x, int worker) {
-          if (partition_.ownerOf(x) != shardId_) return;
-          const auto w = static_cast<std::size_t>(worker);
-          const std::vector<net::NodeId> target = pass->target(x, worker);
-          dynamic::applyHandoffTarget(*policy_, x, target, workerAcc_[w],
-                                      workerLoads_[w]);
+    for (serve::EpochWorker& slot : slots_) slot.migration.clear();
+    core::parallelForChunks(
+        owned_, workers, 1, [](ObjectId) { return 0; },
+        [&](std::span<const ObjectId> chunk, int worker) {
+          serve::EpochWorker& slot = slots_[static_cast<std::size_t>(worker)];
+          for (const ObjectId x : chunk) {
+            const std::vector<net::NodeId> target = pass->target(x, worker);
+            dynamic::applyHandoffTarget(*policy_, x, target, slot.acc,
+                                        slot.migration);
+          }
         });
+    core::LoadMap migrated(tree_.edgeCount());
+    for (const serve::EpochWorker& slot : slots_) {
+      serve::addLoads(migrated, slot.migration);
+    }
     MigrateMsg migrate;
     migrate.epoch = epoch_;
-    migrate.loads.assign(static_cast<std::size_t>(tree_.edgeCount()), 0);
-    for (int w = 0; w < workers; ++w) {
-      const auto& partial = workerLoads_[static_cast<std::size_t>(w)];
-      for (net::EdgeId e = 0; e < tree_.edgeCount(); ++e) {
-        migrate.loads[static_cast<std::size_t>(e)] += partial.edgeLoad(e);
-      }
-    }
+    migrate.loads.assign(migrated.edgeLoads().begin(),
+                         migrated.edgeLoads().end());
     migrate.busyMs = threadCpuMs() - busyStart;
     totalBusyMs_ += migrate.busyMs;
     transport_.send(FrameType::kMigrate, migrate.encode());
@@ -291,11 +255,9 @@ class ShardWorker {
   core::LoadMap epochServeLoads_;
   std::vector<std::size_t> offsets_;
   std::vector<RequestEvent> bucketed_;
-  std::vector<core::LoadMap> workerLoads_;
-  std::vector<core::FlatLoadAccumulator> workerAcc_;
-  std::vector<dynamic::ShardStats> workerStats_;
-  std::vector<dynamic::ServeScratch> workerScratch_;
-  std::vector<std::uint64_t> servedThisEpoch_;
+  std::vector<ObjectId> touched_;  ///< this epoch's objects, ascending
+  std::vector<ObjectId> owned_;    ///< this shard's objects, ascending
+  std::vector<serve::EpochWorker> slots_;
   std::uint64_t epoch_ = 0;
   std::uint64_t servedRequests_ = 0;
   core::Count replications_ = 0;

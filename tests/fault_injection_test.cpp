@@ -263,6 +263,46 @@ TEST(FaultInjectionTest, ShardThrowPropagatesAndTearsDownCleanly) {
   EXPECT_EQ(after.report.totalRequests, kRequests);
 }
 
+// Serving visits only an epoch's touched objects, so a worker can have
+// no objects at all in an epoch. The shard-throw seam fires once per
+// (epoch, worker) at chunk start, empty chunks included: a fault aimed
+// at worker 3 must still fire in an epoch whose single touched object
+// lands on another worker — and the lowest throwing worker's error is
+// the one that surfaces.
+TEST(FaultInjectionTest, ShardThrowReachesWorkersWithEmptyChunks) {
+  const net::Tree tree = net::makeClusterNetwork(3, 4);
+  const net::RootedTree rooted(tree, tree.defaultRoot());
+  std::vector<workload::RequestEvent> events(
+      kEpochSize * 3,
+      workload::RequestEvent{0, tree.processors().back(), false});
+  for (std::size_t i = kEpochSize; i < 2 * kEpochSize; ++i) {
+    events[i].object = 17;  // epoch 1 touches object 17 only
+  }
+  for (const bool pipeline : {false, true}) {
+    for (const std::string& spec :
+         {std::string("shard-throw@epoch1:shard3"),
+          std::string("shard-throw@epoch1:shard2,shard-throw@epoch1:shard3")}) {
+      SCOPED_TRACE(std::string(pipeline ? "pipelined " : "barrier ") + spec);
+      ServeOptions options = makeOptions(4, pipeline);
+      options.faults = util::makeFaultInjector(spec);
+      EpochServer server(rooted, kObjects, options);
+      VectorStream stream({events.begin(), events.end()});
+      try {
+        (void)server.serve(stream);
+        FAIL() << "shard-throw aimed at an idle worker did not fire";
+      } catch (const Error& e) {
+        EXPECT_EQ(e.stage(), Stage::Serve);
+        EXPECT_EQ(e.epoch(), 1u);
+        const bool both = spec.find("shard2") != std::string::npos;
+        EXPECT_NE(e.cause().find(both ? "worker 2" : "worker 3"),
+                  std::string::npos)
+            << e.cause();
+      }
+      EXPECT_EQ(server.epochLog().size(), 1u);
+    }
+  }
+}
+
 // A stream failure (out-of-range object) is attributed to the ingest
 // stage in both engines, not swallowed or left as a bare exception.
 TEST(FaultInjectionTest, StreamFailureSurfacesAsIngestError) {

@@ -9,6 +9,7 @@
 #include "hbn/baseline/exact.h"
 #include "hbn/core/extended_nibble.h"
 #include "hbn/core/lower_bound.h"
+#include "hbn/core/parallel.h"
 #include "hbn/net/generators.h"
 #include "hbn/util/rng.h"
 #include "hbn/workload/generators.h"
@@ -168,6 +169,83 @@ TEST(IncrementalLowerBound, MatchesFullRecomputationUnderRowUpdates) {
   IncrementalLowerBound rebuilt(rooted);
   rebuilt.rebuild(load);
   EXPECT_DOUBLE_EQ(rebuilt.congestion(), incremental.congestion());
+}
+
+TEST(IncrementalLowerBound, ParallelDeltasMatchRebuildBitForBit) {
+  // The epoch server's parallel refresh: four pool workers each take a
+  // disjoint chunk of the touched objects, subtract the old term into a
+  // private delta, update the row, add the new term, and the deltas
+  // merge after the join. Updates mix reads and writes, so κ changes on
+  // many rows. After every step the merged bound must equal a rebuild()
+  // from scratch, edge for edge.
+  util::Rng rng(4242);
+  const Tree t = net::makeClusterNetwork(4, 4);
+  const net::RootedTree rooted(t, t.defaultRoot());
+  constexpr int kObjects = 48;
+  constexpr int kWorkers = 4;
+  workload::Workload load(kObjects, t.nodeCount());
+  IncrementalLowerBound incremental(rooted);
+  incremental.rebuild(load);
+  struct Update {
+    net::NodeId node;
+    Count amount;
+    bool write;
+  };
+  std::vector<LoadMap> deltas(kWorkers, LoadMap(t.edgeCount()));
+  std::vector<std::vector<Count>> scratch(kWorkers);
+
+  for (int step = 0; step < 60; ++step) {
+    std::vector<workload::ObjectId> touched;
+    std::vector<std::vector<Update>> updates(kObjects);
+    for (workload::ObjectId x = 0; x < kObjects; ++x) {
+      if (rng.nextBelow(3) != 0) continue;
+      touched.push_back(x);
+      const auto count = 1 + rng.nextBelow(4);
+      for (std::uint64_t i = 0; i < count; ++i) {
+        const auto& leaves = t.processors();
+        updates[static_cast<std::size_t>(x)].push_back(
+            Update{leaves[static_cast<std::size_t>(
+                       rng.nextBelow(leaves.size()))],
+                   1 + static_cast<Count>(rng.nextBelow(30)),
+                   rng.nextBelow(3) == 0});
+      }
+    }
+    for (LoadMap& delta : deltas) delta.clear();
+    parallelForChunks(
+        touched, kWorkers, 1,
+        [&](workload::ObjectId x) {
+          return updates[static_cast<std::size_t>(x)].size();
+        },
+        [&](std::span<const workload::ObjectId> chunk, int worker) {
+          const auto w = static_cast<std::size_t>(worker);
+          for (const workload::ObjectId x : chunk) {
+            incremental.accumulate(x, load, -1, scratch[w], deltas[w]);
+            for (const Update& u : updates[static_cast<std::size_t>(x)]) {
+              if (u.write) {
+                load.addWrites(x, u.node, u.amount);
+              } else {
+                load.addReads(x, u.node, u.amount);
+              }
+            }
+            incremental.accumulate(x, load, 1, scratch[w], deltas[w]);
+          }
+        });
+    for (const LoadMap& delta : deltas) incremental.merge(delta);
+
+    IncrementalLowerBound rebuilt(rooted);
+    rebuilt.rebuild(load);
+    ASSERT_EQ(std::vector<Count>(incremental.edgeMinima().edgeLoads().begin(),
+                                 incremental.edgeMinima().edgeLoads().end()),
+              std::vector<Count>(rebuilt.edgeMinima().edgeLoads().begin(),
+                                 rebuilt.edgeMinima().edgeLoads().end()))
+        << "step " << step;
+    ASSERT_EQ(incremental.congestion(), rebuilt.congestion())
+        << "step " << step;
+    ASSERT_EQ(incremental.congestion(),
+              analyticLowerBound(rooted, load).congestion)
+        << "step " << step;
+  }
+  EXPECT_GT(incremental.congestion(), 0.0);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -517,6 +518,96 @@ TEST(EpochServer, MillionRequestStreamNeverMaterialises) {
                      sizeof(std::size_t)));
   EXPECT_LT(rssAfter - rssBefore, 16 * 1024)  // < 16 MB growth
       << "serving resident set grew as if the stream were materialised";
+}
+
+/// stateJson plus everything else the per-object epoch body writes:
+/// the per-epoch lower bound and re-placement marks, and the aggregated
+/// frequency matrix itself.
+std::string fullDigest(const EpochServer& server, const ServeReport& report) {
+  std::ostringstream oss;
+  oss.precision(17);
+  oss << stateJson(server, report);
+  for (const EpochRecord& record : server.epochLog()) {
+    oss << record.index << ':' << record.lowerBound << ':' << record.replaced
+        << ':' << record.checkpointed << ' ';
+  }
+  oss << '\n' << workload::toText(server.aggregated());
+  return oss.str();
+}
+
+TEST(EpochServer, WeightedSplitIsBitIdenticalOnAdversarialStreams) {
+  // Two streams aimed at the request-weighted split over touched
+  // objects: a Zipf stream whose hottest object is the HIGHEST id (the
+  // last chunk carries the hot spot), and a stream that touches fewer
+  // objects per epoch than there are workers (most chunks are empty).
+  // Both run with drift handoffs (slow adaptation, low drift factor)
+  // and a checkpoint cadence; every thread count and both engines must
+  // produce the same counters, loads, copy sets, per-epoch bounds and
+  // aggregated matrix.
+  const net::Tree tree = net::makeClusterNetwork(4, 8);
+  const net::RootedTree rooted(tree, tree.defaultRoot());
+  constexpr int kObjects = 64;
+  workload::StreamParams params;
+  params.numObjects = kObjects;
+  params.readFraction = 0.995;
+
+  std::vector<RequestEvent> hotLast(120'000);
+  {
+    const auto stream =
+        makeGeneratedStream("skewed", tree, params, 9, hotLast.size());
+    ASSERT_EQ(stream->fill(hotLast), hotLast.size());
+    for (RequestEvent& ev : hotLast) ev.object = kObjects - 1 - ev.object;
+  }
+  std::vector<RequestEvent> sparse;
+  {
+    util::Rng rng(77);
+    const auto leaves = tree.processors();
+    for (int i = 0; i < 60'000; ++i) {
+      // Two objects per phase, a new pair every 10k requests.
+      const auto phase = static_cast<workload::ObjectId>(i / 10'000);
+      const auto x = static_cast<workload::ObjectId>(
+          (phase * 11 + static_cast<int>(rng.nextBelow(2)) * 29) % kObjects);
+      // Skewed origins so the copy configuration goes stale.
+      const auto leaf = rng.nextBelow(4) == 0
+                            ? rng.nextBelow(leaves.size())
+                            : static_cast<std::uint64_t>(phase) % 3;
+      sparse.push_back(RequestEvent{x, leaves[leaf], rng.nextBool(0.01)});
+    }
+  }
+
+  const std::string dir = ::testing::TempDir() + "hbn_weighted_split";
+  const auto run = [&](const std::vector<RequestEvent>& events,
+                       bool pipeline, int threads, std::uint64_t* handoffs) {
+    std::filesystem::remove_all(dir);
+    ServeOptions options;
+    options.epochSize = 1 << 12;
+    options.threads = threads;
+    options.replaceDrift = 2.0;
+    options.pipeline = pipeline;
+    options.policy = "tree-counters:threshold=64";
+    options.checkpointDir = dir;
+    options.checkpointEvery = 5;
+    EpochServer server(rooted, kObjects, options);
+    VectorStream stream(events);
+    const ServeReport report = server.serve(stream);
+    if (handoffs != nullptr) *handoffs = report.replacements;
+    EXPECT_GT(report.checkpoints, 1u);
+    return fullDigest(server, report);
+  };
+  for (const auto* events : {&hotLast, &sparse}) {
+    const std::string name = events == &hotLast ? "hot-last" : "sparse";
+    std::uint64_t handoffs = 0;
+    const std::string reference = run(*events, false, 1, &handoffs);
+    EXPECT_GT(handoffs, 0u) << name << ": no drift handoff fired";
+    EXPECT_EQ(run(*events, true, 1, nullptr), reference) << name;
+    for (const int threads : {2, 3, 4, 7}) {
+      EXPECT_EQ(run(*events, true, threads, nullptr), reference)
+          << name << " pipelined, threads " << threads;
+      EXPECT_EQ(run(*events, false, threads, nullptr), reference)
+          << name << " barrier, threads " << threads;
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
