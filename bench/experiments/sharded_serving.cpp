@@ -11,7 +11,7 @@
 //                sharded run are bit-identical to the single-process
 //                EpochServer — for 1, 2 and 4 workers (the partition
 //                only decides who serves, never what is served).
-//   transports   the socket transport (fork()ed worker processes over
+//   transports   the socket transport (exec'd worker processes over
 //                Unix sockets) produces the same bits as in-process
 //                loopback.
 //   scaling      on a skewed stream with the adaptive policy, the
@@ -51,8 +51,8 @@ constexpr int kIdentityObjects = 256;
 
 /// Scaling-phase scale: the adaptive policy on a skewed stream over a
 /// small hot set, where per-object serving dominates the per-worker
-/// fixed epoch work (decode + full-matrix aggregation + lower-bound
-/// refresh) and sharding has something to win.
+/// fixed epoch work (frame decode and the per-epoch stats) and sharding
+/// has something to win.
 constexpr std::uint64_t kScalingRequestsFull = 640'000;
 constexpr std::uint64_t kScalingRequestsSmoke = 160'000;
 constexpr std::size_t kScalingEpoch = 32768;
@@ -165,11 +165,10 @@ class ShardedServingExperiment final : public engine::Experiment {
           options.serve.threads = 1;
           options.serve.policy = policy;
           options.partitionSeed = seed;
-          // fork (not exec): process isolation without depending on the
-          // host binary's path, so the experiment runs identically from
-          // hbn_bench and hbn_place --bench.
+          // Socket workers re-run the host binary, so every binary that
+          // runs this experiment calls shard::maybeRunWorkerMain first.
           std::unique_ptr<shard::ShardCluster> cluster =
-              socket ? shard::makeForkCluster(workers)
+              socket ? shard::makeExecCluster(workers)
                      : shard::makeLoopbackCluster(workers);
           shard::ShardCoordinator coordinator(
               tree, objects, options, cluster->links(),
@@ -244,7 +243,7 @@ class ShardedServingExperiment final : public engine::Experiment {
       reporter.addTiming(timer.millis());
     }
     const bool socketHeld = socketDigest == loopbackDigest;
-    ctx.os() << "\nsocket transport (2 fork()ed worker processes): "
+    ctx.os() << "\nsocket transport (2 exec'd worker processes): "
              << (socketHeld ? "bit-identical to loopback" : "DIVERGED")
              << "\n";
 

@@ -28,16 +28,14 @@ std::vector<EpochWorker> makeEpochWorkers(const dynamic::OnlinePolicy& policy,
 
 void serveAndAggregate(dynamic::OnlinePolicy& policy, workload::ObjectId x,
                        std::span<const workload::RequestEvent> events,
-                       bool serve, workload::Workload& aggregated,
+                       workload::Workload& aggregated,
                        const core::IncrementalLowerBound& lowerBound,
                        EpochWorker& worker) {
-  if (serve) {
-    const dynamic::ShardStats stats = policy.serveShard(
-        x, events, worker.serveLoads, worker.scratch, &worker.acc);
-    worker.stats.replications += stats.replications;
-    worker.stats.invalidations += stats.invalidations;
-    worker.served += events.size();
-  }
+  const dynamic::ShardStats stats = policy.serveShard(
+      x, events, worker.serveLoads, worker.scratch, &worker.acc);
+  worker.stats.replications += stats.replications;
+  worker.stats.invalidations += stats.invalidations;
+  worker.served += events.size();
   // Aggregating after serving is what lets handoff passes read the live
   // matrix: a pass applies to x before x's next serve, while row x still
   // holds its trigger-time value (the HandoffPass row contract).

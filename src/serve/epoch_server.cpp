@@ -139,7 +139,7 @@ ServeReport EpochServer::serve(RequestStream& stream) {
                 *policy_, x,
                 std::span<const RequestEvent>(batch->bucketed.data() + begin,
                                               end - begin),
-                true, aggregated_, lowerBound_, slot);
+                aggregated_, lowerBound_, slot);
           }
         });
 

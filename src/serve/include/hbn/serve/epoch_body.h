@@ -54,14 +54,13 @@ struct EpochWorker {
     const dynamic::OnlinePolicy& policy, int edgeCount, int workers);
 
 /// The per-object step (after any pending handoff migration): serves
-/// `events` — x's bucketed run — through `policy` when `serve` is set,
-/// then folds them into row x of `aggregated` between removing and
-/// re-adding x's lower-bound term in worker.lowerBound. Touches only
-/// object-x state and `worker`, so distinct objects may run
-/// concurrently.
+/// `events` — x's bucketed run — through `policy`, then folds them into
+/// row x of `aggregated` between removing and re-adding x's lower-bound
+/// term in worker.lowerBound. Touches only object-x state and `worker`,
+/// so distinct objects may run concurrently.
 void serveAndAggregate(dynamic::OnlinePolicy& policy, workload::ObjectId x,
                        std::span<const workload::RequestEvent> events,
-                       bool serve, workload::Workload& aggregated,
+                       workload::Workload& aggregated,
                        const core::IncrementalLowerBound& lowerBound,
                        EpochWorker& worker);
 

@@ -1,6 +1,7 @@
 #include "hbn/shard/coordinator.h"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -14,17 +15,16 @@
 namespace hbn::shard {
 namespace {
 
-std::string encodeEpochPayload(std::uint64_t epoch,
-                               std::span<const workload::RequestEvent> events) {
-  WireWriter w;
-  w.u64(epoch);
-  w.u64(events.size());
-  for (const workload::RequestEvent& ev : events) {
-    w.i32(ev.object);
-    w.i32(ev.origin);
-    w.u8(ev.isWrite ? 1 : 0);
+/// Decodes shard `shard`'s frame as a `Msg`; a malformed payload is a
+/// Frame error naming the shard.
+template <typename Msg>
+Msg decodeFrom(int shard, const Frame& frame, std::uint64_t epoch) {
+  try {
+    return Msg::decode(frame.payload);
+  } catch (const std::exception& e) {
+    throw serve::Error(serve::Stage::Frame, epoch,
+                       "shard " + std::to_string(shard) + ": " + e.what());
   }
-  return w.take();
 }
 
 }  // namespace
@@ -38,8 +38,11 @@ ShardCoordinator::ShardCoordinator(const net::Tree& tree, int numObjects,
       options_(std::move(options)),
       links_(std::move(links)),
       transportName_(std::move(transportName)),
+      partition_(options_.partition, static_cast<int>(links_.size()),
+                 options_.partitionSeed, numObjects),
       loads_(tree.edgeCount()),
-      serveLoads_(tree.edgeCount()) {
+      serveLoads_(tree.edgeCount()),
+      lowerBoundMinima_(tree.edgeCount()) {
   if (links_.empty()) {
     throw std::invalid_argument("ShardCoordinator: at least one worker link");
   }
@@ -86,6 +89,65 @@ Frame ShardCoordinator::expect(int shard, FrameType want,
                            frameTypeName(frame.type));
   }
   return frame;
+}
+
+void ShardCoordinator::scatter(const serve::EpochBatch& batch,
+                               std::uint64_t epoch) {
+  const std::size_t shards = links_.size();
+  std::vector<std::uint64_t> runs(shards, 0);
+  sent_.assign(shards, 0);
+  const auto length = [&batch](workload::ObjectId x) {
+    return batch.offsets[static_cast<std::size_t>(x) + 1] -
+           batch.offsets[static_cast<std::size_t>(x)];
+  };
+  for (const workload::ObjectId x : batch.touched) {
+    const auto owner = static_cast<std::size_t>(partition_.ownerOf(x));
+    sent_[owner] += length(x);
+    ++runs[owner];
+  }
+  std::vector<EpochWriter> writers;
+  writers.reserve(shards);
+  for (std::size_t s = 0; s < shards; ++s) {
+    writers.emplace_back(epoch, sent_[s], runs[s]);
+  }
+  for (const workload::ObjectId x : batch.touched) {
+    writers[static_cast<std::size_t>(partition_.ownerOf(x))].run(
+        x, std::span<const workload::RequestEvent>(
+               batch.bucketed.data() +
+                   batch.offsets[static_cast<std::size_t>(x)],
+               length(x)));
+  }
+  for (std::size_t s = 0; s < shards; ++s) {
+    links_[s]->setEpoch(epoch);
+    links_[s]->send(FrameType::kEpoch, writers[s].take());
+  }
+}
+
+void ShardCoordinator::gatherRows(std::uint64_t epoch) {
+  std::vector<ObjectRow> rows;
+  for (int s = 0; s < static_cast<int>(links_.size()); ++s) {
+    for (bool last = false; !last;) {
+      const Frame frame = expect(s, FrameType::kRows, epoch);
+      RowsMsg msg = decodeFrom<RowsMsg>(s, frame, epoch);
+      for (ObjectRow& row : msg.rows) {
+        if (row.object < 0 || row.object >= numObjects_ ||
+            partition_.ownerOf(row.object) != s) {
+          throw serve::Error(serve::Stage::Frame, epoch,
+                             "shard " + std::to_string(s) +
+                                 ": row for object " +
+                                 std::to_string(row.object) +
+                                 " it does not own");
+        }
+        rows.push_back(std::move(row));
+      }
+      last = msg.last != 0;
+    }
+  }
+  for (const std::string& payload : encodeRowFrames(epoch, rows)) {
+    const std::string frame =
+        FramedTransport::encodeFrame(FrameType::kRows, payload);
+    for (FramedTransport* link : links_) link->sendEncoded(frame);
+  }
 }
 
 void ShardCoordinator::handshake() {
@@ -157,42 +219,41 @@ ShardedReport ShardCoordinator::serve(serve::RequestStream& stream) {
       const std::uint64_t epochIndex = report.epochs;
       const std::size_t n = batch->n;
 
-      // Broadcast: encode once, write identical bytes to every link.
-      const std::string frame = FramedTransport::encodeFrame(
-          FrameType::kEpoch,
-          encodeEpochPayload(
-              epochIndex, std::span<const workload::RequestEvent>(
-                              batch->raw.data(), n)));
-      for (FramedTransport* link : links_) {
-        link->setEpoch(epochIndex);
-        link->sendEncoded(frame);
-      }
+      scatter(*batch, epochIndex);
       ingest.release(batch);
 
-      // Convergecast: merge per-shard stats. Integer serve-load deltas
-      // sum additively (each object is served by exactly one owner),
-      // so the merged maps are bit-identical to single-process serving
-      // for any shard count.
+      // Convergecast: merge per-shard stats. Each object is served,
+      // aggregated and lower-bounded by its owner alone, so the integer
+      // serve-load and lower-bound deltas sum to the single-process
+      // epoch's, bit for bit, for any shard count.
       double epochBusy = 0.0;
-      double lowerBound = 0.0;
       bool anyWantsHandoff = false;
       bool migratable = true;
       for (int s = 0; s < shards; ++s) {
         Frame statsFrame = expect(s, FrameType::kStats, epochIndex);
-        const StatsMsg stats = StatsMsg::decode(statsFrame.payload);
+        const StatsMsg stats = decodeFrom<StatsMsg>(s, statsFrame,
+                                                    epochIndex);
         if (stats.epoch != epochIndex) {
           throw serve::Error(serve::Stage::Frame, epochIndex,
                              "shard " + std::to_string(s) +
                                  ": stats for epoch " +
                                  std::to_string(stats.epoch));
         }
-        if (stats.serveLoads.size() != static_cast<std::size_t>(edgeCount)) {
+        // Determinism check: a shard serves exactly the events it was
+        // sent.
+        const std::uint64_t sent = sent_[static_cast<std::size_t>(s)];
+        if (stats.requests != sent) {
+          throw serve::Error(serve::Stage::Serve, epochIndex,
+                             "shard " + std::to_string(s) + ": served " +
+                                 std::to_string(stats.requests) + " of " +
+                                 std::to_string(sent) + " requests sent");
+        }
+        if (stats.serveLoads.size() != static_cast<std::size_t>(edgeCount) ||
+            stats.lowerBoundDelta.size() !=
+                static_cast<std::size_t>(edgeCount)) {
           throw serve::Error(serve::Stage::Frame, epochIndex,
                              "shard " + std::to_string(s) +
-                                 ": serve-load vector has " +
-                                 std::to_string(stats.serveLoads.size()) +
-                                 " edges, tree has " +
-                                 std::to_string(edgeCount));
+                                 ": per-edge vector size mismatch");
         }
         for (net::EdgeId e = 0; e < edgeCount; ++e) {
           const auto load = static_cast<core::Count>(
@@ -201,24 +262,15 @@ ShardedReport ShardCoordinator::serve(serve::RequestStream& stream) {
             loads_.addEdgeLoad(e, load);
             serveLoads_.addEdgeLoad(e, load);
           }
-        }
-        // Every worker computes the analytic bound over the SAME full
-        // matrix — bitwise divergence means a shard saw a different
-        // epoch than its peers. Cheapest distributed-determinism check
-        // there is, so it runs every epoch.
-        if (s == 0) {
-          lowerBound = stats.lowerBound;
-        } else if (stats.lowerBound != lowerBound) {
-          throw serve::Error(serve::Stage::Serve, epochIndex,
-                             "shard " + std::to_string(s) +
-                                 ": lower-bound divergence (" +
-                                 std::to_string(stats.lowerBound) + " vs " +
-                                 std::to_string(lowerBound) + ")");
+          const auto minimum = static_cast<core::Count>(
+              stats.lowerBoundDelta[static_cast<std::size_t>(e)]);
+          if (minimum != 0) lowerBoundMinima_.addEdgeLoad(e, minimum);
         }
         anyWantsHandoff = anyWantsHandoff || stats.wantsHandoff != 0;
         migratable = migratable && stats.migratable != 0;
         epochBusy = std::max(epochBusy, stats.busyMs);
       }
+      const double lowerBound = lowerBoundMinima_.congestion(tree);
       lastLowerBound = lowerBound;
 
       serve::EpochRecord record;
@@ -244,12 +296,15 @@ ShardedReport ShardCoordinator::serve(serve::RequestStream& stream) {
       for (FramedTransport* link : links_) link->sendEncoded(decideFrame);
 
       if (replace) {
-        // Migrate wave: every shard applies the §4 re-placement to its
-        // owned objects and reports the charged traffic.
+        // Row all-gather, then the migrate wave: every shard applies the
+        // §4 re-placement to its owned objects over the full matrix and
+        // reports the charged traffic.
+        gatherRows(epochIndex);
         double migrateBusy = 0.0;
         for (int s = 0; s < shards; ++s) {
           Frame migrateFrame = expect(s, FrameType::kMigrate, epochIndex);
-          const MigrateMsg migrate = MigrateMsg::decode(migrateFrame.payload);
+          const MigrateMsg migrate =
+              decodeFrom<MigrateMsg>(s, migrateFrame, epochIndex);
           if (migrate.loads.size() != static_cast<std::size_t>(edgeCount)) {
             throw serve::Error(serve::Stage::Frame, epochIndex,
                                "shard " + std::to_string(s) +
@@ -286,7 +341,8 @@ ShardedReport ShardCoordinator::serve(serve::RequestStream& stream) {
     std::uint64_t shardRequestSum = 0;
     for (int s = 0; s < shards; ++s) {
       Frame ackFrame = expect(s, FrameType::kFinAck, report.epochs);
-      const FinAckMsg ack = FinAckMsg::decode(ackFrame.payload);
+      const FinAckMsg ack =
+          decodeFrom<FinAckMsg>(s, ackFrame, report.epochs);
       ShardBreakdown breakdown;
       breakdown.shard = s;
       breakdown.requests = ack.requests;

@@ -5,20 +5,28 @@
 // wave that mirrors the single-process engine's barrier loop (and the
 // convergecast/broadcast shape of dist::SyncEngine):
 //
-//   broadcast     the epoch batch is encoded ONCE (identical bytes on
-//                 every link) and fanned out to all workers; ingest of
+//   scatter       the ingest thread has already bucketed the epoch by
+//                 object; the coordinator splits the touched objects by
+//                 Partition::ownerOf and sends each worker one Epoch
+//                 frame holding only its owned objects' runs. Ingest of
 //                 epoch N+1 overlaps the workers serving epoch N.
-//   convergecast  per-shard Stats flow up: serve-load deltas merge
-//                 additively into the global LoadMaps (integer loads —
-//                 bit-identical for any shard count), counters sum,
-//                 and every worker's full-matrix lower bound must be
-//                 bit-equal (asserted — a cheap distributed-
-//                 determinism check every epoch).
+//   convergecast  per-shard Stats flow up: each shard's request count
+//                 must equal the events it was sent (checked every
+//                 epoch), and its integer serve-load and lower-bound
+//                 deltas, sums over disjoint objects, add into the
+//                 global LoadMaps. The global lower bound is the
+//                 congestion of the summed per-edge minima
+//                 (Theorem 3.1's bound is a per-object sum), so it is
+//                 bit-identical for any shard count.
 //   decide        the coordinator runs the SAME DriftTrigger
 //                 arithmetic as EpochServer over merged serve
-//                 congestion and the shared lower bound, ORs in the
+//                 congestion and the summed lower bound, ORs in the
 //                 policies' own handoff requests, and broadcasts the
 //                 decision.
+//   rows          on replace only: each worker sends the rows of its
+//                 owned objects touched since the last gather, and the
+//                 coordinator sends all of them to every worker, so
+//                 every handoff starts from the full matrix.
 //   migrate       on replace, workers hand back their migration-load
 //                 deltas, which merge into the global map before the
 //                 epoch record is cut.
@@ -49,6 +57,10 @@
 #include "hbn/serve/request_stream.h"
 #include "hbn/shard/partition.h"
 #include "hbn/shard/transport.h"
+
+namespace hbn::serve {
+struct EpochBatch;
+}  // namespace hbn::serve
 
 namespace hbn::shard {
 
@@ -89,7 +101,7 @@ struct ShardedReport {
   double wallMs = 0.0;
   double requestsPerSec = 0.0;  ///< honest wall-clock throughput
   /// Critical-path time: Σ over epochs of the slowest shard's busy
-  /// time (decode + bucket + serve + aggregate + lower bound [+
+  /// time (decode + serve + aggregate + lower bound [+ row gather +
   /// migration]). On a machine with fewer cores than workers the wall
   /// clock serialises the shards, so this models what N genuinely
   /// parallel workers would take; requestsPerSecCritical is the
@@ -142,6 +154,13 @@ class ShardCoordinator {
 
  private:
   void handshake();
+  /// Sends each worker the runs of its owned objects in `batch` and
+  /// records the event counts in sent_.
+  void scatter(const serve::EpochBatch& batch, std::uint64_t epoch);
+  /// The row all-gather before a re-placement: collects every shard's
+  /// Rows leg (each row must be owned by its sender) and sends all of
+  /// them to every worker.
+  void gatherRows(std::uint64_t epoch);
   /// Closes every link (workers see end-of-stream). Idempotent.
   void closeAll() noexcept;
   /// Decodes a worker frame expected to be `want`; an Error frame
@@ -154,8 +173,14 @@ class ShardCoordinator {
   ShardOptions options_;
   std::vector<FramedTransport*> links_;
   std::string transportName_;
+  Partition partition_;
   core::LoadMap loads_;
   core::LoadMap serveLoads_;
+  /// Σ over shards of the per-edge lower-bound deltas: the analytic
+  /// bound's per-edge minima over every object served so far.
+  core::LoadMap lowerBoundMinima_;
+  /// Events sent to each shard this epoch.
+  std::vector<std::uint64_t> sent_;
   serve::DriftTrigger drift_;
   std::vector<serve::EpochRecord> log_;
   bool served_ = false;

@@ -1,21 +1,18 @@
 // Worker lifecycle plumbing for the sharded serving engine.
 //
 // A ShardCluster owns N worker endpoints and the transports to them;
-// the ShardCoordinator borrows the links. Three flavours:
+// the ShardCoordinator borrows the links. Two flavours:
 //
 //   loopback   workers are threads of this process over in-memory
 //              channels (makeLoopbackCluster) — deterministic, no
 //              syscalls; what the digest-identity tests run.
-//   fork       workers are fork()ed child processes over AF_UNIX
-//              socketpairs, running shard::runWorkerProcess directly
-//              (makeForkCluster) — real process isolation without
-//              needing the binary's path, so tests and benchmarks can
-//              spawn workers from any host binary.
 //   exec       workers are fork()+exec()ed fresh processes of this
 //              very binary with the hidden --shard-worker-fd=K flag
 //              (makeExecCluster) — the production shape hbn_serve
-//              --transport=socket uses. Worker processes exit with the
-//              serve::Error stage code (10-17) on failure, so
+//              --transport=socket uses. The child execs straight after
+//              fork, so it never runs code that is unsafe in a forked
+//              copy of a multi-threaded parent. Worker processes exit
+//              with the serve::Error stage code (10-17) on failure, so
 //              supervisors see the same taxonomy as the coordinator.
 //
 // Fault handling: join() reaps children and converts a nonzero worker
@@ -51,9 +48,6 @@ class ShardCluster {
 
 /// N worker threads over loopback channels.
 [[nodiscard]] std::unique_ptr<ShardCluster> makeLoopbackCluster(int workers);
-
-/// N fork()ed child processes over socketpairs (no exec).
-[[nodiscard]] std::unique_ptr<ShardCluster> makeForkCluster(int workers);
 
 /// N fork()+exec()ed processes of the current binary with
 /// --shard-worker-fd; requires the calling binary's main to call

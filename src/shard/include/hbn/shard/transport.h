@@ -9,7 +9,7 @@
 //             tests and the 1-worker ≡ single-process check run on.
 //   socket    an AF_UNIX SOCK_STREAM socketpair — the real
 //             multi-process deployment (see hbn/shard/process.h for
-//             fork/exec plumbing).
+//             the exec plumbing).
 //
 // FramedTransport wraps a channel with the wire.h frame format: every
 // send is one length-prefixed, checksummed frame; every recv validates
@@ -73,8 +73,8 @@ class FramedTransport {
       : channel_(std::move(channel)) {}
 
   /// Encodes one frame — header, payload, checksum — as raw bytes.
-  /// Exposed so the coordinator can encode a broadcast epoch ONCE and
-  /// write identical bytes to every worker link.
+  /// Exposed so the coordinator can encode a broadcast frame (Decide,
+  /// Rows, Fin) once and write identical bytes to every worker link.
   [[nodiscard]] static std::string encodeFrame(FrameType type,
                                                std::string_view payload);
 

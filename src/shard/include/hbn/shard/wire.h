@@ -21,13 +21,24 @@
 // pattern, strings as u64 length + bytes. Message structs (Hello,
 // Epoch, Stats, ...) each provide encode()/decode; decode throws
 // std::runtime_error on truncated or out-of-range input, which the
-// transport layer attributes to Stage::Frame.
+// transport layer attributes to Stage::Frame. Every count a decoder
+// reads is checked against the bytes left before anything is
+// allocated for it.
+//
+// The protocol is partition-aware: each worker is sent only the events
+// of the objects it owns, and holds the current frequency rows of those
+// objects only. Everything a worker reports per epoch — serve loads,
+// the lower-bound delta, the request count — is an integer sum over its
+// own objects, which the coordinator adds up. Other workers' rows reach
+// a worker only through the row all-gather (Rows) that precedes a
+// re-placement, because a handoff may read every row.
 #pragma once
 
 #include <bit>
 #include <cstdint>
 #include <cstring>
 #include <map>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -39,7 +50,7 @@ namespace hbn::shard {
 
 inline constexpr std::uint32_t kFrameMagic = 0x48424E46;  // "HBNF"
 inline constexpr std::uint64_t kMaxFramePayload = 1ULL << 28;
-inline constexpr std::uint32_t kProtocolVersion = 1;
+inline constexpr std::uint32_t kProtocolVersion = 2;
 /// Frame header bytes (magic + type + payloadLen) and trailer bytes
 /// (checksum).
 inline constexpr std::size_t kFrameHeaderBytes = 16;
@@ -47,7 +58,8 @@ inline constexpr std::size_t kFrameTrailerBytes = 8;
 
 /// Message kinds, in protocol order. One serve run is:
 ///   Hello -> HelloAck, then per epoch Epoch -> Stats -> Decide
-///   [-> Migrate when Decide.replace], then Fin -> FinAck.
+///   [-> Rows (worker -> coordinator) -> Rows (coordinator -> worker)
+///    -> Migrate when Decide.replace], then Fin -> FinAck.
 /// Either side may send Error instead of its next expected frame.
 enum class FrameType : std::uint32_t {
   kHello = 1,
@@ -59,6 +71,7 @@ enum class FrameType : std::uint32_t {
   kFin = 7,
   kFinAck = 8,
   kError = 9,
+  kRows = 10,
 };
 
 [[nodiscard]] const char* frameTypeName(FrameType type) noexcept;
@@ -79,6 +92,7 @@ class WireWriter {
     u64(v.size());
     out_.append(v);
   }
+  void reserve(std::size_t bytes) { out_.reserve(bytes); }
 
   [[nodiscard]] std::string take() { return std::move(out_); }
 
@@ -124,6 +138,9 @@ class WireReader {
     std::string s(bytes_.substr(pos_, static_cast<std::size_t>(n)));
     pos_ += static_cast<std::size_t>(n);
     return s;
+  }
+  [[nodiscard]] std::size_t remaining() const noexcept {
+    return bytes_.size() - pos_;
   }
   /// Every payload byte must be consumed — trailing garbage means the
   /// two sides disagree about the message layout.
@@ -174,10 +191,79 @@ struct HelloMsg {
   [[nodiscard]] static HelloMsg decode(std::string_view payload);
 };
 
-/// Coordinator -> worker: one full epoch, broadcast to every shard.
-/// Workers aggregate all events (the full-matrix invariant that keeps
-/// handoff placements shard-count independent) but serve only the
-/// objects they own.
+/// The one epoch codec, run-length encoded:
+///
+///   u64 epoch | u64 events | u64 runs |
+///   runs x ( i32 object | u32 count | count x u32 (origin << 1 | isWrite) )
+///
+/// A run is a stretch of consecutive events on one object, so the
+/// encoding round-trips any event order; an object-bucketed epoch packs
+/// into one run per touched object. Origins must be non-negative.
+///
+/// EpochWriter/EpochReader are the run-level halves EpochMsg is built
+/// on: the coordinator writes each worker's owned runs straight from
+/// the ingest stage's bucketed batch, and the worker decodes runs
+/// straight into its CSR buffers, with its own ownership and order
+/// checks on top.
+class EpochWriter {
+ public:
+  /// Header of an epoch with `events` events in `runs` runs.
+  EpochWriter(std::uint64_t epoch, std::uint64_t events, std::uint64_t runs);
+
+  /// Appends one run: every event in `events` is on object `x` (only
+  /// origin and isWrite are written). Throws std::invalid_argument on
+  /// an empty run or a negative origin.
+  void run(workload::ObjectId x,
+           std::span<const workload::RequestEvent> events);
+
+  /// The payload; throws std::logic_error when the runs written do not
+  /// add up to the header.
+  [[nodiscard]] std::string take();
+
+ private:
+  WireWriter w_;
+  std::uint64_t events_;
+  std::uint64_t runs_;
+  std::uint64_t eventsWritten_ = 0;
+  std::uint64_t runsWritten_ = 0;
+};
+
+class EpochReader {
+ public:
+  /// One run header: `count` events on `object`.
+  struct Run {
+    workload::ObjectId object = 0;
+    std::uint32_t count = 0;
+  };
+
+  /// Reads the header; throws std::runtime_error when the event or run
+  /// count cannot fit the payload.
+  explicit EpochReader(std::string_view payload);
+
+  [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
+  [[nodiscard]] std::uint64_t events() const noexcept { return events_; }
+  [[nodiscard]] std::uint64_t runs() const noexcept { return runs_; }
+
+  /// Reads the next run header into `run`; false once every run has
+  /// been read. Throws std::runtime_error when the run's events run
+  /// past the payload or past the header's event count.
+  bool next(Run& run);
+  /// Decodes the events of the run `next` just returned into
+  /// out[0, run.count).
+  void read(const Run& run, workload::RequestEvent* out);
+  /// Every run read, event counts add up, no trailing bytes.
+  void finish() const;
+
+ private:
+  WireReader r_;
+  std::uint64_t epoch_ = 0;
+  std::uint64_t events_ = 0;
+  std::uint64_t runs_ = 0;
+  std::uint64_t eventsRead_ = 0;
+  std::uint64_t runsRead_ = 0;
+};
+
+/// One epoch of events, in any order, in the run-length format above.
 struct EpochMsg {
   std::uint64_t epoch = 0;
   std::vector<workload::RequestEvent> events;
@@ -187,19 +273,20 @@ struct EpochMsg {
 };
 
 /// Worker -> coordinator after serving an epoch: the convergecast leg
-/// of the epoch barrier. Serve loads are this epoch's deltas for the
-/// worker's owned objects; lowerBound is the worker's full-matrix
-/// analytic bound (bit-identical across shards — the coordinator
-/// asserts it as a determinism cross-check).
+/// of the epoch barrier, as integer sums over the worker's owned
+/// objects. The coordinator checks `requests` against the events it
+/// sent, adds serveLoads into its load maps and lowerBoundDelta into
+/// the global per-edge lower-bound minima.
 struct StatsMsg {
   std::uint64_t epoch = 0;
-  double lowerBound = 0.0;
+  std::uint64_t requests = 0;  ///< events served this epoch
   double busyMs = 0.0;
   std::uint8_t wantsHandoff = 0;
   std::uint8_t migratable = 0;
   std::int64_t replications = 0;
   std::int64_t invalidations = 0;
-  std::vector<std::int64_t> serveLoads;  ///< per-edge delta
+  std::vector<std::int64_t> serveLoads;       ///< per-edge delta
+  std::vector<std::int64_t> lowerBoundDelta;  ///< per-edge delta
 
   [[nodiscard]] std::string encode() const;
   [[nodiscard]] static StatsMsg decode(std::string_view payload);
@@ -214,6 +301,40 @@ struct DecideMsg {
   [[nodiscard]] std::string encode() const;
   [[nodiscard]] static DecideMsg decode(std::string_view payload);
 };
+
+/// One nonzero cell of an object's frequency row.
+struct RowEntry {
+  std::int32_t node = 0;
+  std::int64_t reads = 0;
+  std::int64_t writes = 0;
+};
+
+/// An object's frequency row, sparse: its nonzero cells by node.
+struct ObjectRow {
+  workload::ObjectId object = 0;
+  std::vector<RowEntry> entries;
+};
+
+/// The row all-gather that precedes a re-placement. Each worker sends
+/// the rows of its owned objects touched since the last gather; the
+/// coordinator sends every worker all of them, so every worker opens
+/// its handoff over the same full matrix. A leg may span several
+/// frames; `last` marks the final one. Encoded by encodeRowFrames.
+struct RowsMsg {
+  std::uint64_t epoch = 0;
+  std::uint8_t last = 1;
+  std::vector<ObjectRow> rows;
+
+  [[nodiscard]] static RowsMsg decode(std::string_view payload);
+};
+
+/// Encodes `rows` as RowsMsg payloads of at most `maxPayload` bytes
+/// each, in order, with `last` set on the final one; always at least
+/// one payload. Throws std::length_error when a single row does not fit
+/// `maxPayload`.
+[[nodiscard]] std::vector<std::string> encodeRowFrames(
+    std::uint64_t epoch, std::span<const ObjectRow> rows,
+    std::uint64_t maxPayload = kMaxFramePayload);
 
 /// Worker -> coordinator after applying a re-placement: the migration
 /// traffic charged for its owned objects.

@@ -6,21 +6,30 @@
 //
 //   Hello      build the full stack from the wire: parse the tree,
 //              instantiate the policy, derive the Partition.
-//   Epoch      serve the epoch. Every shard receives the FULL epoch
-//              and aggregates ALL events into a complete frequency
-//              matrix (plus the full-matrix incremental lower bound),
-//              but serves only owned∩touched objects. The full-matrix
-//              invariant is what keeps §4 handoff placements — which
-//              may read other objects' rows (static:placement=
-//              extended-nibble steers its mapping by the basic loads
-//              of every object) — bit-identical for any shard count.
+//   Epoch      serve the epoch. The frame carries only this shard's
+//              touched objects, ascending, one run each; the worker
+//              checks every run is owned, in order and inside the
+//              payload, decodes the runs straight into its CSR buffers,
+//              and runs the single-process per-object epoch body
+//              (serve, aggregate, lower-bound delta) over them. Stats
+//              returns the shard's integer serve-load and lower-bound
+//              deltas and its request count for the coordinator to sum.
 //   Decide     the coordinator's global re-placement decision. On
-//              replace the worker opens a HandoffPass over its (full,
-//              identical) matrix and applies the target to every owned
+//              replace the worker first joins the row all-gather: it
+//              sends the rows of its owned objects touched since the
+//              last gather, and receives every shard's, so its matrix
+//              is the full matrix the single-process engine holds. Then
+//              it opens a HandoffPass over that matrix (handoffs may
+//              read other objects' rows: static:placement=
+//              extended-nibble steers its mapping by every object's
+//              basic loads) and applies the target to every owned
 //              object through dynamic::applyHandoffTarget — the same
 //              per-object migration step the single-process engine
 //              runs — then reports the charged traffic in Migrate.
 //   Fin        report the shard summary (FinAck) and return.
+//
+// Between gathers, the rows of objects another shard owns are stale;
+// nothing but a handoff reads them.
 //
 // Failures ship as Error frames with their serve::Error stage intact
 // before the worker exits, so the coordinator rethrows them with full

@@ -74,10 +74,24 @@ class LoopbackCluster final : public ShardCluster {
   std::vector<std::thread> threads_;
 };
 
-/// Shared child-process bookkeeping for the fork and exec clusters.
-class ProcessCluster : public ShardCluster {
+/// N fork()+exec()ed worker processes; the parent reaps them.
+class ExecCluster final : public ShardCluster {
  public:
-  ~ProcessCluster() override { ProcessCluster::kill(); }
+  explicit ExecCluster(int workers) {
+    const std::string exe = currentExecutablePath();
+    if (exe.empty()) {
+      throw std::runtime_error(
+          "shard: cannot resolve /proc/self/exe for worker spawn");
+    }
+    try {
+      for (int w = 0; w < workers; ++w) spawn(exe);
+    } catch (...) {
+      kill();  // the destructor does not run for a throwing constructor
+      throw;
+    }
+  }
+
+  ~ExecCluster() override { ExecCluster::kill(); }
 
   std::vector<FramedTransport*> links() override {
     std::vector<FramedTransport*> out;
@@ -119,80 +133,42 @@ class ProcessCluster : public ShardCluster {
     for (const auto& link : links_) link->close();
   }
 
- protected:
+ private:
+  void spawn(const std::string& exe) {
+    auto [parentFd, childFd] = makeSocketPair();
+    // The child fd must survive exec; the parent end must not leak into
+    // siblings.
+    ::fcntl(parentFd, F_SETFD, FD_CLOEXEC);
+    // Built before fork: until it execs, the child of a multi-threaded
+    // parent may only make async-signal-safe calls, so it must not
+    // allocate.
+    const std::string flag = kWorkerFlag + std::to_string(childFd);
+    char* const args[] = {const_cast<char*>(exe.c_str()),
+                          const_cast<char*>(flag.c_str()), nullptr};
+    const pid_t pid = ::fork();
+    if (pid < 0) {
+      ::close(parentFd);
+      ::close(childFd);
+      throw std::runtime_error(std::string("fork: ") + std::strerror(errno));
+    }
+    if (pid == 0) {
+      ::execv(exe.c_str(), args);
+      ::_exit(127);  // exec failed
+    }
+    ::close(childFd);
+    pids_.push_back(pid);
+    links_.push_back(
+        std::make_unique<FramedTransport>(makeSocketChannel(parentFd)));
+  }
+
   std::vector<std::unique_ptr<FramedTransport>> links_;
   std::vector<pid_t> pids_;
-};
-
-class ForkCluster final : public ProcessCluster {
- public:
-  explicit ForkCluster(int workers) {
-    for (int w = 0; w < workers; ++w) {
-      auto [parentFd, childFd] = makeSocketPair();
-      const pid_t pid = ::fork();
-      if (pid < 0) {
-        ::close(parentFd);
-        ::close(childFd);
-        throw std::runtime_error(std::string("fork: ") +
-                                 std::strerror(errno));
-      }
-      if (pid == 0) {
-        // Child: drop the parent ends inherited so far and serve.
-        ::close(parentFd);
-        links_.clear();
-        ::_exit(runWorkerProcess(childFd));
-      }
-      ::close(childFd);
-      links_.push_back(std::make_unique<FramedTransport>(
-          makeSocketChannel(parentFd)));
-      pids_.push_back(pid);
-    }
-  }
-};
-
-class ExecCluster final : public ProcessCluster {
- public:
-  explicit ExecCluster(int workers) {
-    const std::string exe = currentExecutablePath();
-    if (exe.empty()) {
-      throw std::runtime_error(
-          "shard: cannot resolve /proc/self/exe for worker spawn");
-    }
-    for (int w = 0; w < workers; ++w) {
-      auto [parentFd, childFd] = makeSocketPair();
-      // The child fd must survive exec; the parent end must not leak
-      // into siblings.
-      ::fcntl(parentFd, F_SETFD, FD_CLOEXEC);
-      const pid_t pid = ::fork();
-      if (pid < 0) {
-        ::close(parentFd);
-        ::close(childFd);
-        throw std::runtime_error(std::string("fork: ") +
-                                 std::strerror(errno));
-      }
-      if (pid == 0) {
-        const std::string flag = kWorkerFlag + std::to_string(childFd);
-        char* const args[] = {const_cast<char*>(exe.c_str()),
-                              const_cast<char*>(flag.c_str()), nullptr};
-        ::execv(exe.c_str(), args);
-        ::_exit(127);  // exec failed
-      }
-      ::close(childFd);
-      links_.push_back(std::make_unique<FramedTransport>(
-          makeSocketChannel(parentFd)));
-      pids_.push_back(pid);
-    }
-  }
 };
 
 }  // namespace
 
 std::unique_ptr<ShardCluster> makeLoopbackCluster(int workers) {
   return std::make_unique<LoopbackCluster>(workers);
-}
-
-std::unique_ptr<ShardCluster> makeForkCluster(int workers) {
-  return std::make_unique<ForkCluster>(workers);
 }
 
 std::unique_ptr<ShardCluster> makeExecCluster(int workers) {

@@ -4,13 +4,13 @@
 
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "hbn/core/load.h"
 #include "hbn/core/lower_bound.h"
 #include "hbn/core/parallel.h"
-#include "hbn/dynamic/harness.h"
 #include "hbn/dynamic/online_policy.h"
 #include "hbn/net/rooted.h"
 #include "hbn/net/serialize.h"
@@ -60,15 +60,14 @@ class ShardWorker {
                             tree_.processors().front())),
         aggregated_(hello.numObjects, tree_.nodeCount()),
         lowerBound_(rooted_),
-        epochServeLoads_(tree_.edgeCount()),
         offsets_(static_cast<std::size_t>(hello.numObjects) + 1, 0),
+        dirtyFlag_(static_cast<std::size_t>(hello.numObjects), 0),
         slots_(serve::makeEpochWorkers(
             *policy_, tree_.edgeCount(),
             core::resolveWorkerCount(threads_, numObjects_))) {
     for (ObjectId x = 0; x < numObjects_; ++x) {
       if (partition_.ownerOf(x) == shardId_) owned_.push_back(x);
     }
-    lowerBound_.rebuild(aggregated_);
   }
 
   /// Serves Epoch/Decide/Fin frames until Fin; throws serve::Error on
@@ -90,52 +89,70 @@ class ShardWorker {
           transport_.send(FrameType::kFinAck, ack.encode());
           return;
         }
-        case FrameType::kError: {
-          const ErrorMsg err = ErrorMsg::decode(frame.payload);
-          throw serve::Error(static_cast<serve::Stage>(err.stage), err.epoch,
-                             "coordinator: " + err.cause);
-        }
         default:
-          throw serve::Error(serve::Stage::Frame, epoch_,
-                             std::string("unexpected ") +
-                                 frameTypeName(frame.type) + " frame");
+          throwUnexpected(frame, "epoch or fin");
       }
     }
   }
 
  private:
-  void serveEpoch(const std::string& payload) {
-    // Busy time starts at decode: deserialisation, bucketing, serving,
-    // aggregation and the lower-bound refresh are this shard's
-    // critical-path work for the epoch; the blocking recv above is not.
-    const double busyStart = threadCpuMs();
-    const EpochMsg msg = [&] {
-      try {
-        return EpochMsg::decode(payload);
-      } catch (const std::exception& e) {
-        throw serve::Error(serve::Stage::Frame, epoch_, e.what());
+  /// Decodes an epoch frame into offsets_/bucketed_/touched_: every run
+  /// must be an owned object, in ascending order, with at least one
+  /// event, and every origin a tree node.
+  void decodeEpoch(const std::string& payload) {
+    try {
+      EpochReader reader(payload);
+      epoch_ = reader.epoch();
+      transport_.setEpoch(epoch_);
+      bucketed_.resize(static_cast<std::size_t>(reader.events()));
+      touched_.clear();
+      std::size_t at = 0;
+      EpochReader::Run run;
+      while (reader.next(run)) {
+        if (run.object < 0 || run.object >= numObjects_ ||
+            partition_.ownerOf(run.object) != shardId_) {
+          throw std::runtime_error("epoch run for object " +
+                                   std::to_string(run.object) +
+                                   " not owned by this shard");
+        }
+        if (!touched_.empty() && run.object <= touched_.back()) {
+          throw std::runtime_error("epoch run for object " +
+                                   std::to_string(run.object) +
+                                   " out of ascending order");
+        }
+        if (run.count == 0) {
+          throw std::runtime_error("empty epoch run");
+        }
+        RequestEvent* const out = bucketed_.data() + at;
+        reader.read(run, out);
+        for (std::uint32_t i = 0; i < run.count; ++i) {
+          if (out[i].origin >= tree_.nodeCount()) {
+            throw std::runtime_error("request origin out of range");
+          }
+        }
+        const auto row = static_cast<std::size_t>(run.object);
+        offsets_[row] = at;
+        at += run.count;
+        offsets_[row + 1] = at;
+        touched_.push_back(run.object);
       }
-    }();
-    epoch_ = msg.epoch;
-    transport_.setEpoch(epoch_);
-    const std::size_t n = msg.events.size();
-    for (const RequestEvent& ev : msg.events) {
-      if (ev.object < 0 || ev.object >= numObjects_) {
-        throw serve::Error(serve::Stage::Ingest, epoch_,
-                           "request object out of range");
-      }
+      reader.finish();
+    } catch (const std::exception& e) {
+      throw serve::Error(serve::Stage::Frame, epoch_, e.what());
     }
-    bucketed_.resize(n);
-    dynamic::bucketRequestsByObject(msg.events, numObjects_, offsets_,
-                                    bucketed_, &touched_);
+  }
 
-    // The single-process per-object epoch body over every touched
-    // object: serve owned ones only — the shard's slice of the epoch —
-    // and fold ALL of them into the full frequency matrix and its
-    // incremental lower bound. Identical bucketing plus per-object
-    // serving means the union over shards reproduces the single-process
-    // epoch exactly, and every shard holding the complete matrix keeps
-    // handoff placements that read other rows shard-count independent.
+  void serveEpoch(const std::string& payload) {
+    // Busy time starts at decode: deserialisation, serving, aggregation
+    // and the lower-bound delta are this shard's critical-path work for
+    // the epoch; the blocking recv above is not.
+    const double busyStart = threadCpuMs();
+    decodeEpoch(payload);
+
+    // The single-process per-object epoch body over this shard's
+    // touched objects. Identical per-object bucketing and serving means
+    // the union over shards reproduces the single-process epoch
+    // exactly.
     const int workers = static_cast<int>(slots_.size());
     for (serve::EpochWorker& slot : slots_) slot.clear();
     serve::forEachTouchedChunk(
@@ -149,50 +166,47 @@ class ShardWorker {
                 *policy_, x,
                 std::span<const RequestEvent>(bucketed_.data() + begin,
                                               end - begin),
-                partition_.ownerOf(x) == shardId_, aggregated_, lowerBound_,
-                slot);
+                aggregated_, lowerBound_, slot);
           }
         });
-
-    epochServeLoads_.clear();
-    for (const serve::EpochWorker& slot : slots_) {
-      serve::addLoads(epochServeLoads_, slot.serveLoads);
-      lowerBound_.merge(slot.lowerBound);
-      replications_ += slot.stats.replications;
-      invalidations_ += slot.stats.invalidations;
-      servedRequests_ += slot.served;
+    for (const ObjectId x : touched_) {
+      std::uint8_t& flag = dirtyFlag_[static_cast<std::size_t>(x)];
+      if (flag == 0) {
+        flag = 1;
+        dirty_.push_back(x);
+      }
     }
 
+    const std::size_t edges = static_cast<std::size_t>(tree_.edgeCount());
     StatsMsg stats;
     stats.epoch = epoch_;
-    stats.lowerBound = lowerBound_.congestion();
+    stats.serveLoads.assign(edges, 0);
+    stats.lowerBoundDelta.assign(edges, 0);
+    for (const serve::EpochWorker& slot : slots_) {
+      const std::span<const core::Count> serveLoads =
+          slot.serveLoads.edgeLoads();
+      const std::span<const core::Count> lowerBound =
+          slot.lowerBound.edgeLoads();
+      for (std::size_t e = 0; e < edges; ++e) {
+        stats.serveLoads[e] += serveLoads[e];
+        stats.lowerBoundDelta[e] += lowerBound[e];
+      }
+      replications_ += slot.stats.replications;
+      invalidations_ += slot.stats.invalidations;
+      stats.requests += slot.served;
+    }
+    servedRequests_ += stats.requests;
     stats.busyMs = threadCpuMs() - busyStart;
     stats.wantsHandoff =
         policy_->migratable() && policy_->wantsHandoff() ? 1 : 0;
     stats.migratable = policy_->migratable() ? 1 : 0;
     stats.replications = static_cast<std::int64_t>(replications_);
     stats.invalidations = static_cast<std::int64_t>(invalidations_);
-    stats.serveLoads.resize(
-        static_cast<std::size_t>(tree_.edgeCount()));
-    for (net::EdgeId e = 0; e < tree_.edgeCount(); ++e) {
-      stats.serveLoads[static_cast<std::size_t>(e)] =
-          epochServeLoads_.edgeLoad(e);
-    }
     totalBusyMs_ += stats.busyMs;
     transport_.send(FrameType::kStats, stats.encode());
 
     // Broadcast leg of the barrier: the coordinator's global decision.
-    Frame decideFrame = transport_.recv();
-    if (decideFrame.type == FrameType::kError) {
-      const ErrorMsg err = ErrorMsg::decode(decideFrame.payload);
-      throw serve::Error(static_cast<serve::Stage>(err.stage), err.epoch,
-                         "coordinator: " + err.cause);
-    }
-    if (decideFrame.type != FrameType::kDecide) {
-      throw serve::Error(serve::Stage::Frame, epoch_,
-                         std::string("expected decide, got ") +
-                             frameTypeName(decideFrame.type));
-    }
+    const Frame decideFrame = recvExpected(FrameType::kDecide);
     const DecideMsg decide = DecideMsg::decode(decideFrame.payload);
     if (decide.epoch != epoch_) {
       throw serve::Error(serve::Stage::Frame, epoch_,
@@ -202,11 +216,75 @@ class ShardWorker {
     if (decide.replace != 0) applyReplacement();
   }
 
-  /// The §4 re-placement wave: open a HandoffPass over the full local
-  /// matrix (identical on every shard) and migrate every owned object
-  /// through the shared per-object step — the barrier-mode drain the
-  /// single-process engine runs inside drift epochs.
+  /// Row all-gather: sends the rows of owned objects touched since the
+  /// last gather, then installs every shard's rows from the
+  /// coordinator. Afterwards aggregated_ is the full matrix.
+  void gatherRows(double& busyMs) {
+    double start = threadCpuMs();
+    std::vector<ObjectRow> rows;
+    rows.reserve(dirty_.size());
+    for (const ObjectId x : dirty_) {
+      ObjectRow row;
+      row.object = x;
+      const std::span<const core::Count> reads = aggregated_.readRow(x);
+      const std::span<const core::Count> writes = aggregated_.writeRow(x);
+      for (std::size_t v = 0; v < reads.size(); ++v) {
+        if (reads[v] != 0 || writes[v] != 0) {
+          row.entries.push_back(
+              {static_cast<std::int32_t>(v), reads[v], writes[v]});
+        }
+      }
+      rows.push_back(std::move(row));
+      dirtyFlag_[static_cast<std::size_t>(x)] = 0;
+    }
+    dirty_.clear();
+    for (const std::string& payload : encodeRowFrames(epoch_, rows)) {
+      transport_.send(FrameType::kRows, payload);
+    }
+    busyMs += threadCpuMs() - start;
+
+    for (bool last = false; !last;) {
+      const Frame frame = recvExpected(FrameType::kRows);
+      start = threadCpuMs();
+      try {
+        const RowsMsg msg = RowsMsg::decode(frame.payload);
+        if (msg.epoch != epoch_) {
+          throw std::runtime_error("rows for epoch " +
+                                   std::to_string(msg.epoch));
+        }
+        for (const ObjectRow& row : msg.rows) installRow(row);
+        last = msg.last != 0;
+      } catch (const std::exception& e) {
+        throw serve::Error(serve::Stage::Frame, epoch_, e.what());
+      }
+      busyMs += threadCpuMs() - start;
+    }
+  }
+
+  /// Replaces row `row.object` of aggregated_ with `row`'s cells.
+  void installRow(const ObjectRow& row) {
+    const ObjectId x = row.object;
+    if (x < 0 || x >= numObjects_) {
+      throw std::runtime_error("row for object " + std::to_string(x) +
+                               " out of range");
+    }
+    for (net::NodeId v = 0; v < tree_.nodeCount(); ++v) {
+      aggregated_.setReads(x, v, 0);
+      aggregated_.setWrites(x, v, 0);
+    }
+    for (const RowEntry& entry : row.entries) {
+      aggregated_.setReads(x, entry.node, entry.reads);
+      aggregated_.setWrites(x, entry.node, entry.writes);
+    }
+  }
+
+  /// The §4 re-placement wave: gather the full matrix, open a
+  /// HandoffPass over it and migrate every owned object through the
+  /// shared per-object step — the barrier-mode drain the single-process
+  /// engine runs inside drift epochs.
   void applyReplacement() {
+    double busyMs = 0.0;
+    gatherRows(busyMs);
     const double busyStart = threadCpuMs();
     const int workers = static_cast<int>(slots_.size());
     const std::shared_ptr<const workload::Workload> snapshot(
@@ -237,9 +315,29 @@ class ShardWorker {
     migrate.epoch = epoch_;
     migrate.loads.assign(migrated.edgeLoads().begin(),
                          migrated.edgeLoads().end());
-    migrate.busyMs = threadCpuMs() - busyStart;
+    migrate.busyMs = busyMs + threadCpuMs() - busyStart;
     totalBusyMs_ += migrate.busyMs;
     transport_.send(FrameType::kMigrate, migrate.encode());
+  }
+
+  /// Next frame, which must be `want`; an Error frame rethrows the
+  /// coordinator's failure.
+  Frame recvExpected(FrameType want) {
+    Frame frame = transport_.recv();
+    if (frame.type != want) throwUnexpected(frame, frameTypeName(want));
+    return frame;
+  }
+
+  [[noreturn]] void throwUnexpected(const Frame& frame,
+                                    const std::string& want) const {
+    if (frame.type == FrameType::kError) {
+      const ErrorMsg err = ErrorMsg::decode(frame.payload);
+      throw serve::Error(static_cast<serve::Stage>(err.stage), err.epoch,
+                         "coordinator: " + err.cause);
+    }
+    throw serve::Error(serve::Stage::Frame, epoch_,
+                       "expected " + want + ", got " +
+                           frameTypeName(frame.type));
   }
 
   FramedTransport& transport_;
@@ -250,13 +348,18 @@ class ShardWorker {
   int numObjects_;
   int threads_;
   std::unique_ptr<dynamic::OnlinePolicy> policy_;
+  /// Frequency matrix: owned rows current, other rows as of the last
+  /// row gather.
   workload::Workload aggregated_;
+  /// Computes per-object lower-bound deltas; its own total is unused.
   core::IncrementalLowerBound lowerBound_;
-  core::LoadMap epochServeLoads_;
-  std::vector<std::size_t> offsets_;
+  std::vector<std::size_t> offsets_;  ///< CSR offsets, valid at touched_
   std::vector<RequestEvent> bucketed_;
   std::vector<ObjectId> touched_;  ///< this epoch's objects, ascending
   std::vector<ObjectId> owned_;    ///< this shard's objects, ascending
+  /// Owned objects touched since the last row gather.
+  std::vector<ObjectId> dirty_;
+  std::vector<std::uint8_t> dirtyFlag_;
   std::vector<serve::EpochWorker> slots_;
   std::uint64_t epoch_ = 0;
   std::uint64_t servedRequests_ = 0;

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "experiments/experiments.h"
+#include "hbn/shard/process.h"
 #include "hbn/util/json.h"
 
 namespace hbn {
@@ -171,3 +172,14 @@ TEST(ExperimentSuite, RingVsBusRowsAreDeterministic) {
 
 }  // namespace
 }  // namespace hbn
+
+// The smoke suite's sharded-serving experiment re-runs this binary as
+// its socket workers; a worker invocation short-circuits here.
+int main(int argc, char** argv) {
+  if (const int code = hbn::shard::maybeRunWorkerMain(argc, argv);
+      code >= 0) {
+    return code;
+  }
+  testing::InitGoogleTest(&argc, argv);
+  return RUN_ALL_TESTS();
+}

@@ -1,8 +1,12 @@
 // End-to-end tests for the sharded serving engine (hbn/shard/):
 // digest identity with the single-process EpochServer for every
-// registered policy and worker count, socket-transport equivalence via
-// fork()ed worker processes, cross-wire error propagation with stage
+// registered policy and worker count (re-placements and the row
+// all-gather included), socket-transport
+// equivalence via exec'd worker processes, scripted-peer protocol
+// violations on both sides, cross-wire error propagation with stage
 // attribution, the peer watchdog, and coordinator option validation.
+//
+// The exec'd workers re-run this binary, so it has its own main.
 #include <cstdint>
 #include <memory>
 #include <sstream>
@@ -16,6 +20,7 @@
 
 #include "hbn/dynamic/online_policy.h"
 #include "hbn/net/generators.h"
+#include "hbn/net/serialize.h"
 #include "hbn/serve/epoch_server.h"
 #include "hbn/serve/error.h"
 #include "hbn/serve/request_stream.h"
@@ -23,6 +28,7 @@
 #include "hbn/shard/process.h"
 #include "hbn/shard/transport.h"
 #include "hbn/shard/wire.h"
+#include "hbn/shard/worker.h"
 #include "hbn/util/fault.h"
 
 namespace hbn::shard {
@@ -66,7 +72,7 @@ std::string digestOf(const Report& report, const core::LoadMap& loads) {
 std::string singleProcessDigest(
     const net::Tree& tree,
     const std::vector<workload::RequestEvent>& events,
-    const std::string& policy) {
+    const std::string& policy, std::uint64_t* replacements = nullptr) {
   const net::RootedTree rooted(tree, tree.defaultRoot());
   serve::VectorStream stream(events);
   serve::ServeOptions options;
@@ -75,6 +81,7 @@ std::string singleProcessDigest(
   options.policy = policy;
   serve::EpochServer server(rooted, kObjects, options);
   const serve::ServeReport report = server.serve(stream);
+  if (replacements != nullptr) *replacements = report.replacements;
   return digestOf(report, server.loads());
 }
 
@@ -105,13 +112,20 @@ std::string shardedDigest(const net::Tree& tree,
 // The core identity: for every registered policy, sharded serving over
 // 1, 2 and 4 loopback workers reproduces the single-process engine's
 // loads and counters bit-for-bit — under both partition kinds.
+// Re-placements fire on this stream for `static` (extended-nibble's
+// whole-matrix pass, which needs every worker to hold every row) and
+// `adaptive` (per-object handoffs), so the row all-gather runs too.
 TEST(ShardServing, BitIdenticalToSingleProcessForEveryPolicy) {
   const net::Tree tree = testTree();
   const std::vector<workload::RequestEvent> events = makeEvents(tree);
   for (const std::string& policy :
        dynamic::OnlinePolicyRegistry::global().names()) {
+    std::uint64_t replacements = 0;
     const std::string reference =
-        singleProcessDigest(tree, events, policy);
+        singleProcessDigest(tree, events, policy, &replacements);
+    if (policy == "static" || policy == "adaptive") {
+      EXPECT_GT(replacements, 0u) << policy << " never re-placed";
+    }
     for (const int workers : {1, 2, 4}) {
       for (const Partition::Kind kind :
            {Partition::Kind::Hash, Partition::Kind::Range}) {
@@ -125,16 +139,16 @@ TEST(ShardServing, BitIdenticalToSingleProcessForEveryPolicy) {
   }
 }
 
-// The socket transport (fork()ed worker processes over Unix sockets)
+// The socket transport (exec'd worker processes over Unix sockets)
 // must produce the same bits as in-process loopback.
-TEST(ShardServing, ForkedSocketWorkersMatchLoopback) {
+TEST(ShardServing, ExecSocketWorkersMatchLoopback) {
   const net::Tree tree = testTree();
   const std::vector<workload::RequestEvent> events = makeEvents(tree);
   auto loopback = makeLoopbackCluster(2);
   const std::string reference =
       shardedDigest(tree, events, "tree-counters", *loopback);
-  auto forked = makeForkCluster(2);
-  EXPECT_EQ(shardedDigest(tree, events, "tree-counters", *forked),
+  auto exec = makeExecCluster(2);
+  EXPECT_EQ(shardedDigest(tree, events, "tree-counters", *exec),
             reference);
 }
 
@@ -146,7 +160,7 @@ TEST(ShardServing, WorkerConstructionFailureArrivesAsConnect) {
   const net::Tree tree = testTree();
   const std::vector<workload::RequestEvent> events = makeEvents(tree);
   for (const bool socket : {false, true}) {
-    auto cluster = socket ? makeForkCluster(2) : makeLoopbackCluster(2);
+    auto cluster = socket ? makeExecCluster(2) : makeLoopbackCluster(2);
     serve::VectorStream stream(events);
     ShardCoordinator coordinator(tree, kObjects,
                                  baseOptions("no-such-policy"),
@@ -233,7 +247,7 @@ TEST(ShardServing, SilentPeerTripsWatchdog) {
 // Peer error naming the shard and the exit status — the
 // supervisor-facing contract of the process clusters.
 TEST(ShardServing, JoinReportsFailedWorkerProcess) {
-  auto cluster = makeForkCluster(1);
+  auto cluster = makeExecCluster(1);
   // Closing the coordinator link makes the worker see end-of-stream
   // while waiting for Hello — a Peer-stage failure, so the child
   // process exits with the Peer exit code (17), which join() reports.
@@ -245,6 +259,128 @@ TEST(ShardServing, JoinReportsFailedWorkerProcess) {
     EXPECT_EQ(e.stage(), serve::Stage::Peer);
     EXPECT_NE(e.cause().find("worker 0"), std::string::npos);
     EXPECT_NE(e.cause().find("17"), std::string::npos);
+  }
+}
+
+/// A scripted fake worker that completes the handshake and reports a
+/// request count one off from the events it was sent.
+void miscountingWorker(std::shared_ptr<FramedTransport> link,
+                       int edgeCount) {
+  try {
+    (void)link->recv();  // Hello
+    link->send(FrameType::kHelloAck, {});
+    const Frame epoch = link->recv();
+    StatsMsg stats;
+    stats.requests = EpochMsg::decode(epoch.payload).events.size() + 1;
+    stats.serveLoads.assign(static_cast<std::size_t>(edgeCount), 0);
+    stats.lowerBoundDelta.assign(static_cast<std::size_t>(edgeCount), 0);
+    link->send(FrameType::kStats, stats.encode());
+    (void)link->recv();  // blocks until the coordinator gives up
+  } catch (...) {
+  }
+}
+
+TEST(ShardServing, WrongStatsRequestCountIsServeErrorNamingShard) {
+  const net::Tree tree = testTree();
+  const std::vector<workload::RequestEvent> events = makeEvents(tree);
+  auto [coordEnd, workerEnd] = makeLoopbackPair();
+  FramedTransport link(std::move(coordEnd));
+  std::thread worker(miscountingWorker,
+                     std::make_shared<FramedTransport>(std::move(workerEnd)),
+                     tree.edgeCount());
+  serve::VectorStream stream(events);
+  ShardCoordinator coordinator(tree, kObjects, baseOptions("tree-counters"),
+                               {&link}, "test");
+  try {
+    (void)coordinator.serve(stream);
+    FAIL() << "expected serve::Error";
+  } catch (const serve::Error& e) {
+    EXPECT_EQ(e.stage(), serve::Stage::Serve);
+    EXPECT_NE(e.cause().find("shard 0"), std::string::npos) << e.cause();
+    EXPECT_NE(e.cause().find("requests sent"), std::string::npos)
+        << e.cause();
+  }
+  worker.join();
+}
+
+/// Runs the real worker as shard 0 of 2 (hash partition) behind a
+/// scripted coordinator that sends `epochPayload` as the first epoch;
+/// returns the stage of the Error frame the worker ships back.
+serve::Stage workerVerdictOn(const std::string& epochPayload,
+                             std::string* cause) {
+  const net::Tree tree = testTree();
+  auto [coordEnd, workerEnd] = makeLoopbackPair();
+  FramedTransport coordinator(std::move(coordEnd));
+  std::thread worker([end = std::make_shared<FramedTransport>(
+                          std::move(workerEnd))] {
+    try {
+      runWorker(*end);
+    } catch (...) {
+    }
+  });
+  HelloMsg hello;
+  hello.shardId = 0;
+  hello.shardCount = 2;
+  hello.numObjects = kObjects;
+  hello.epochSize = kEpoch;
+  hello.partitionSeed = kSeed;
+  hello.policySpec = "tree-counters";
+  hello.treeText = net::toText(tree);
+  coordinator.send(FrameType::kHello, hello.encode());
+  EXPECT_EQ(coordinator.recv().type, FrameType::kHelloAck);
+  coordinator.send(FrameType::kEpoch, epochPayload);
+  const Frame reply = coordinator.recv();
+  worker.join();
+  EXPECT_EQ(reply.type, FrameType::kError);
+  if (reply.type != FrameType::kError) return serve::Stage::Serve;
+  const ErrorMsg err = ErrorMsg::decode(reply.payload);
+  *cause = err.cause;
+  return static_cast<serve::Stage>(err.stage);
+}
+
+TEST(ShardServing, WorkerRejectsMalformedEpochRuns) {
+  const Partition partition(Partition::Kind::Hash, 2, kSeed, kObjects);
+  std::vector<workload::ObjectId> owned;
+  workload::ObjectId foreign = -1;
+  for (workload::ObjectId x = 0; x < kObjects; ++x) {
+    if (partition.ownerOf(x) == 0) {
+      owned.push_back(x);
+    } else if (foreign < 0) {
+      foreign = x;
+    }
+  }
+  ASSERT_GE(owned.size(), 2u);
+  ASSERT_GE(foreign, 0);
+  const workload::RequestEvent ev{0, 1, false};
+  const auto runs = [&](std::vector<workload::ObjectId> objects) {
+    EpochWriter writer(0, objects.size(), objects.size());
+    for (const workload::ObjectId x : objects) {
+      writer.run(x, std::span(&ev, 1));
+    }
+    return writer.take();
+  };
+  // A run count past the payload: the header's counts fit the bytes
+  // (three events' worth after it), but the one run claims three events
+  // and only one follows its header.
+  WireWriter past;
+  past.u64(0);
+  past.u64(3);
+  past.u64(1);
+  past.i32(owned[0]);
+  past.u32(3);
+  past.u32(2);
+
+  const std::pair<std::string, std::string> cases[] = {
+      {runs({foreign}), "not owned"},
+      {runs({owned[0], owned[0]}), "ascending"},
+      {runs({owned[1], owned[0]}), "ascending"},
+      {past.take(), "exceeds payload"},
+  };
+  for (const auto& [payload, expected] : cases) {
+    std::string cause;
+    EXPECT_EQ(workerVerdictOn(payload, &cause), serve::Stage::Frame)
+        << cause;
+    EXPECT_NE(cause.find(expected), std::string::npos) << cause;
   }
 }
 
@@ -317,3 +453,12 @@ TEST(ShardServing, ReportBreakdownIsConsistent) {
 
 }  // namespace
 }  // namespace hbn::shard
+
+int main(int argc, char** argv) {
+  if (const int code = hbn::shard::maybeRunWorkerMain(argc, argv);
+      code >= 0) {
+    return code;
+  }
+  testing::InitGoogleTest(&argc, argv);
+  return RUN_ALL_TESTS();
+}

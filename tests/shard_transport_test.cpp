@@ -1,15 +1,19 @@
 // Negative-path and fuzz tests for the shard framed transport
-// (hbn/shard/transport.h): every malformed byte sequence a peer can
-// ship must surface as a serve::Error with the right stage attribution
-// (Frame for malformed bytes, Peer for death/unresponsiveness) — never
-// a crash, a hang, or a silently corrupt payload.
+// (hbn/shard/transport.h) and the message codecs (hbn/shard/wire.h):
+// every malformed byte sequence a peer can ship must surface as a
+// serve::Error with the right stage attribution (Frame for malformed
+// bytes, Peer for death/unresponsiveness), and every corrupt payload as
+// a decode exception — never a crash, a hang, an oversized allocation,
+// or a silently corrupt payload.
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -207,6 +211,168 @@ TEST(ShardTransport, FuzzedCorruptionNeverCrashes) {
     }
     EXPECT_LE(delivered, 2);
   }
+}
+
+// The epoch codec round-trips any event order: interleaved objects,
+// repeats, runs of one object, and the empty epoch.
+TEST(ShardWire, EpochMsgRoundtripsAnyOrder) {
+  std::mt19937_64 rng(7);
+  for (const std::size_t n : {0, 1, 2, 17, 500}) {
+    EpochMsg msg;
+    msg.epoch = 40 + n;
+    for (std::size_t i = 0; i < n; ++i) {
+      msg.events.push_back({static_cast<workload::ObjectId>(rng() % 5),
+                            static_cast<net::NodeId>(rng() % 41),
+                            rng() % 3 == 0});
+    }
+    const EpochMsg back = EpochMsg::decode(msg.encode());
+    EXPECT_EQ(back.epoch, msg.epoch);
+    ASSERT_EQ(back.events.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(back.events[i].object, msg.events[i].object);
+      EXPECT_EQ(back.events[i].origin, msg.events[i].origin);
+      EXPECT_EQ(back.events[i].isWrite, msg.events[i].isWrite);
+    }
+  }
+  EpochMsg bad;
+  bad.events.push_back({0, -1, false});
+  EXPECT_THROW((void)bad.encode(), std::invalid_argument);
+}
+
+std::vector<ObjectRow> sampleRows(int count) {
+  std::vector<ObjectRow> rows;
+  for (int x = 0; x < count; ++x) {
+    ObjectRow row;
+    row.object = 3 * x;
+    for (int v = 0; v <= x % 4; ++v) {
+      row.entries.push_back({v, 10 * x + v, x});
+    }
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+bool sameRows(const std::vector<ObjectRow>& a,
+              const std::vector<ObjectRow>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].object != b[i].object ||
+        a[i].entries.size() != b[i].entries.size()) {
+      return false;
+    }
+    for (std::size_t j = 0; j < a[i].entries.size(); ++j) {
+      const RowEntry& p = a[i].entries[j];
+      const RowEntry& q = b[i].entries[j];
+      if (p.node != q.node || p.reads != q.reads || p.writes != q.writes) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+// Rows past the byte cap split over several payloads, each within the
+// cap, in order, with `last` on the final one only.
+TEST(ShardWire, RowFramesSplitAtTheByteCap) {
+  const std::vector<ObjectRow> rows = sampleRows(40);
+  const std::uint64_t cap = 200;
+  const std::vector<std::string> payloads = encodeRowFrames(9, rows, cap);
+  ASSERT_GT(payloads.size(), 1u);
+  std::vector<ObjectRow> joined;
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
+    EXPECT_LE(payloads[i].size(), cap);
+    RowsMsg msg = RowsMsg::decode(payloads[i]);
+    EXPECT_EQ(msg.epoch, 9u);
+    EXPECT_EQ(msg.last, i + 1 == payloads.size() ? 1 : 0);
+    EXPECT_FALSE(msg.rows.empty());
+    for (ObjectRow& row : msg.rows) joined.push_back(std::move(row));
+  }
+  EXPECT_TRUE(sameRows(joined, rows));
+
+  // Under the default cap everything fits one payload; no rows still
+  // make one (empty, last) payload.
+  const std::vector<std::string> one = encodeRowFrames(9, rows);
+  ASSERT_EQ(one.size(), 1u);
+  const RowsMsg whole = RowsMsg::decode(one[0]);
+  EXPECT_EQ(whole.last, 1);
+  EXPECT_TRUE(sameRows(whole.rows, rows));
+  const std::vector<std::string> none = encodeRowFrames(9, {});
+  ASSERT_EQ(none.size(), 1u);
+  EXPECT_EQ(RowsMsg::decode(none[0]).last, 1);
+  EXPECT_TRUE(RowsMsg::decode(none[0]).rows.empty());
+
+  // A single row larger than the cap cannot be split.
+  EXPECT_THROW((void)encodeRowFrames(9, rows, 40), std::length_error);
+}
+
+/// Flips one random byte or truncates `clean` at a random point, then
+/// decodes it with `decode`, which must either succeed or throw
+/// std::runtime_error. `sizeOf` counts the elements a successful decode
+/// allocated; each needs at least `bytesPerElement` payload bytes.
+template <typename Decode, typename SizeOf>
+void fuzzDecoder(const std::string& clean, Decode decode, SizeOf sizeOf,
+                 std::size_t bytesPerElement) {
+  std::mt19937_64 rng(20261017);
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string bytes = clean;
+    if (trial % 4 == 0) {
+      bytes.resize(rng() % bytes.size());
+    } else {
+      const std::size_t at = rng() % bytes.size();
+      bytes[at] = static_cast<char>(bytes[at] ^ (1 + rng() % 255));
+    }
+    try {
+      const auto decoded = decode(bytes);
+      EXPECT_LE(sizeOf(decoded) * bytesPerElement, bytes.size());
+    } catch (const std::runtime_error&) {
+      // Corrupt payloads throw; the transport turns this into Frame.
+    }
+  }
+}
+
+TEST(ShardWire, FuzzedMessagePayloadsThrowOrDecodeBounded) {
+  EpochMsg epoch;
+  epoch.epoch = 3;
+  for (int i = 0; i < 60; ++i) {
+    epoch.events.push_back({i / 7, i % 41, i % 5 == 0});
+  }
+  fuzzDecoder(
+      epoch.encode(), [](const std::string& b) { return EpochMsg::decode(b); },
+      [](const EpochMsg& m) { return m.events.size(); }, 4);
+
+  StatsMsg stats;
+  stats.epoch = 3;
+  stats.requests = 60;
+  stats.serveLoads.assign(40, 7);
+  stats.lowerBoundDelta.assign(40, -2);
+  fuzzDecoder(
+      stats.encode(), [](const std::string& b) { return StatsMsg::decode(b); },
+      [](const StatsMsg& m) {
+        return m.serveLoads.size() + m.lowerBoundDelta.size();
+      },
+      8);
+
+  fuzzDecoder(
+      encodeRowFrames(3, sampleRows(12)).front(),
+      [](const std::string& b) { return RowsMsg::decode(b); },
+      [](const RowsMsg& m) {
+        std::size_t cells = m.rows.size();
+        for (const ObjectRow& row : m.rows) cells += row.entries.size();
+        return cells;
+      },
+      8);
+
+  // Counts far past the payload are rejected before any allocation.
+  WireWriter huge;
+  huge.u64(0);
+  huge.u64(1ULL << 60);
+  huge.u64(1ULL << 60);
+  EXPECT_THROW((void)EpochMsg::decode(huge.take()), std::runtime_error);
+  WireWriter hugeRows;
+  hugeRows.u64(0);
+  hugeRows.u8(1);
+  hugeRows.u64(1ULL << 60);
+  EXPECT_THROW((void)RowsMsg::decode(hugeRows.take()), std::runtime_error);
 }
 
 }  // namespace

@@ -29,6 +29,7 @@
 #include "hbn/engine/cli.h"
 #include "hbn/engine/registry.h"
 #include "hbn/net/serialize.h"
+#include "hbn/shard/process.h"
 #include "hbn/util/stats.h"
 #include "hbn/util/table.h"
 #include "hbn/workload/serialize.h"
@@ -55,6 +56,11 @@ void printUsage(std::ostream& os) {
 
 int main(int argc, char** argv) {
   using namespace hbn;
+  // `--bench sharded-serving` spawns exec-cluster workers from this
+  // binary; a worker invocation short-circuits here.
+  if (const int code = shard::maybeRunWorkerMain(argc, argv); code >= 0) {
+    return code;
+  }
   // `hbn_place --bench ...` hands everything after the flag to the
   // unified experiment driver (same registry, same JSON emission as
   // hbn_bench). It must come first: placement arguments cannot be mixed
