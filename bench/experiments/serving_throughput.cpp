@@ -7,7 +7,7 @@
 // dynamic-to-static handoff the paper's online strategy implies.
 //
 // The headline perf claim is the pipelined-vs-barrier comparison on a
-// calibrated drift-handoff stream: RCU-published lazy re-placement must
+// calibrated drift-handoff stream: lazy per-object re-placement must
 // keep the serving state bit-identical to the stop-the-world barrier
 // engine while cutting tail latency — epoch p99 by >= 1.5x (measured
 // ~3x) and request p99 by >= 1.25x (measured ~1.5x; the pipelined
@@ -180,11 +180,10 @@ class ServingThroughputExperiment final : public engine::Experiment {
     // Pipelined vs barrier on the drift-handoff stream: a diurnal hot
     // set drifts until the drift trigger fires a full nibble
     // re-placement. The barrier engine pays the whole handoff inside
-    // the epoch that fired it; the pipelined engine publishes the pass
-    // RCU-style and applies it lazily per touched object, so the lump
-    // never lands in one epoch. Counters and loads must nevertheless be
-    // bit-identical — lazy application is a scheduling change, not a
-    // semantic one.
+    // the epoch that fired it; the pipelined engine queues the pass and
+    // applies it lazily per touched object, so the lump never lands in
+    // one epoch. Counters and loads must nevertheless be bit-identical
+    // — lazy application is a scheduling change, not a semantic one.
     const auto latencyRun = [&](bool pipeline, std::string* digest) {
       workload::StreamParams params;
       params.numObjects = kLatencyObjects;

@@ -4,9 +4,11 @@
 // workload, or adversarial read/write alternations), runs them through
 // any registered OnlinePolicy, and compares the realised congestion
 // against the offline benchmark: the analytic congestion lower bound of
-// the aggregated frequencies (a lower bound even on the optimal
-// *static* placement, hence on any offline strategy that must keep at
-// least one copy).
+// the aggregated frequencies. It bounds *static* placements only — the
+// best fixed copy configuration for the whole sequence. A strategy that
+// migrates copies as the traffic shifts can beat it, so a ratio below 1
+// (e.g. on bursty streams) is possible and does not mean the online
+// policy beat every offline strategy.
 #pragma once
 
 #include <limits>
@@ -61,6 +63,7 @@ void bucketRequestsByObject(std::span<const Request> requests,
 /// Outcome of one competitive run.
 struct CompetitiveResult {
   double onlineCongestion = 0.0;
+  /// Bounds static placements only (see the file comment).
   double offlineLowerBound = 0.0;
   /// The true ratio onlineCongestion / offlineLowerBound; 1 when both
   /// are zero (trivially optimal), +inf when only the bound is zero.

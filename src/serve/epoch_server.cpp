@@ -38,7 +38,6 @@ EpochServer::EpochServer(const net::RootedTree& rooted, int numObjects,
       lowerBound_(rooted),
       loads_(rooted.tree().edgeCount()),
       serveLoads_(rooted.tree().edgeCount()),
-      schedule_(std::make_unique<MigrationSchedule>()),
       appliedVersion_(static_cast<std::size_t>(numObjects), 0),
       latency_(options.latencySample) {
   drift_.replaceDrift = options.replaceDrift;
@@ -78,7 +77,6 @@ ServeReport EpochServer::serve(RequestStream& stream) {
   ServeReport report;
   report.policy = options_.policy;
   report.pipeline = options_.pipeline;
-  report.epochBufferBytes = ingest.bufferBytes();
   // Track the analytic lower bound incrementally: per epoch only the
   // touched objects' contributions are refreshed. Seeded with one full
   // pass so repeated serve() calls keep accumulating correctly.
@@ -102,16 +100,15 @@ ServeReport EpochServer::serve(RequestStream& stream) {
     // Stage 2: the epoch's touched objects, split into request-weighted
     // chunks over the worker pool. Per object, a worker first applies
     // any handoff passes the object has not migrated through yet (stage
-    // 3's lazy application; exclusive by the split, RCU-guarded against
-    // schedule republication), serves it against the up-to-date copy
-    // configuration, then folds its requests into aggregated_ and its
-    // lower-bound term into the worker's delta — so per-object state
-    // trajectories match barrier mode exactly. Untouched objects keep
-    // their stale copy sets: they receive no traffic, and deferring them
-    // is exactly what keeps the handoff lump out of the epochs (they
-    // migrate on a later touch or in the end-of-stream drain).
+    // 3's lazy application; exclusive by the split), serves it against
+    // the up-to-date copy configuration, then folds its requests into
+    // aggregated_ and its lower-bound term into the worker's delta — so
+    // per-object state trajectories match barrier mode exactly.
+    // Untouched objects keep their stale copy sets: they receive no
+    // traffic, and deferring them is exactly what keeps the handoff lump
+    // out of the epochs (they migrate on a later touch or in the
+    // end-of-stream drain).
     for (EpochWorker& slot : slots) slot.clear();
-    const std::uint64_t targetVersion = passesBegun_;
     forEachTouchedChunk(
         batch->touched, batch->offsets, workers,
         [&](std::span<const ObjectId> chunk, int worker) {
@@ -129,9 +126,8 @@ ServeReport EpochServer::serve(RequestStream& stream) {
           EpochWorker& slot = slots[static_cast<std::size_t>(worker)];
           for (const ObjectId x : chunk) {
             const auto row = static_cast<std::size_t>(x);
-            if (appliedVersion_[row] < targetVersion) {
-              applyPendingMigrations(x, worker, targetVersion,
-                                     slot.migration, slot.acc);
+            if (appliedVersion_[row] < passesBegun_) {
+              applyPendingMigrations(x, worker, slot.migration, slot.acc);
             }
             const std::size_t begin = batch->offsets[row];
             const std::size_t end = batch->offsets[row + 1];
@@ -266,6 +262,8 @@ ServeReport EpochServer::serve(RequestStream& stream) {
     if (!log_.empty()) log_.back().checkpointed = true;
   }
 
+  // Read at the end: the buffers grow with the traffic.
+  report.epochBufferBytes = ingest.bufferBytes();
   report.wallMs = total.millis();
   report.requestsPerSec =
       report.wallMs > 0.0
@@ -303,7 +301,7 @@ void EpochServer::beginPass(int workers, std::uint64_t epoch) {
   // HandoffPass contract) — other workers are writing those rows.
   const std::shared_ptr<const workload::Workload> snapshot(
       std::shared_ptr<const workload::Workload>(), &aggregated_);
-  auto pass = std::make_unique<PassState>();
+  std::unique_ptr<dynamic::HandoffPass> pass;
   // Bounded retry with escalating backoff. The injected fault fires
   // BEFORE beginHandoff, so a retried attempt re-runs the publication
   // from a policy that never saw the failed one — retries are
@@ -315,7 +313,7 @@ void EpochServer::beginPass(int workers, std::uint64_t epoch) {
           faults->fire(util::FaultKind::HandoffFail, epoch, -1)) {
         throw std::runtime_error("injected handoff publication failure");
       }
-      pass->pass = policy_->beginHandoff(snapshot, workers);
+      pass = policy_->beginHandoff(snapshot, workers);
       break;
     } catch (const std::exception& e) {
       if (attempt >= options_.handoffRetries) {
@@ -328,28 +326,24 @@ void EpochServer::beginPass(int workers, std::uint64_t epoch) {
       }
     }
   }
-  pass->version = ++passesBegun_;
-  pendingPasses_.push_back(std::move(pass));
-  publishSchedule();
+  ++passesBegun_;
+  pendingPasses_.emplace_back().pass = std::move(pass);
 }
 
 void EpochServer::applyPendingMigrations(ObjectId x, int worker,
-                                         std::uint64_t targetVersion,
                                          core::LoadMap& migration,
                                          core::FlatLoadAccumulator& acc) {
   // §4 handoff, one object at a time: chain through every pass this
   // object has not migrated through yet, in creation order — charging
   // Steiner(current ∪ target) and resetting the copy set per pass, the
   // exact per-object work barrier mode performs inside drift epochs.
-  // The RCU guard pins the schedule (and through it every pass the
-  // applied counters say we may still need) against republication.
-  const auto guard = schedule_.read();
-  const MigrationSchedule& schedule = *guard;
+  // The queue is stable for the whole pool call (see epoch_server.h).
+  const std::uint64_t retired =
+      passesBegun_ - static_cast<std::uint64_t>(pendingPasses_.size());
   std::uint64_t& applied = appliedVersion_[static_cast<std::size_t>(x)];
-  while (applied < targetVersion) {
-    const auto index = static_cast<std::size_t>(applied -
-                                                schedule.baseVersion);
-    PassState& pass = *schedule.passes[index];
+  while (applied < passesBegun_) {
+    PassState& pass =
+        pendingPasses_[static_cast<std::size_t>(applied - retired)];
     const std::vector<net::NodeId> target = pass.pass->target(x, worker);
     // The shared per-object migration step (compare / charge Steiner /
     // resetCopySet) — also what the shard worker's barrier application
@@ -364,36 +358,24 @@ void EpochServer::applyPendingMigrations(ObjectId x, int worker,
 void EpochServer::drainAllPasses(std::vector<EpochWorker>& slots) {
   if (pendingPasses_.empty()) return;
   for (EpochWorker& slot : slots) slot.migration.clear();
-  const std::uint64_t targetVersion = passesBegun_;
   core::parallelForObjects(
       numObjects_, options_.threads, [&](ObjectId x, int worker) {
-        if (appliedVersion_[static_cast<std::size_t>(x)] >= targetVersion) {
+        if (appliedVersion_[static_cast<std::size_t>(x)] >= passesBegun_) {
           return;
         }
         EpochWorker& slot = slots[static_cast<std::size_t>(worker)];
-        applyPendingMigrations(x, worker, targetVersion, slot.migration,
-                               slot.acc);
+        applyPendingMigrations(x, worker, slot.migration, slot.acc);
       });
   for (const EpochWorker& slot : slots) addLoads(loads_, slot.migration);
 }
 
 void EpochServer::retireAppliedPasses() {
-  // Serve thread, between epochs (workers joined): pop every fully
-  // applied pass, republish the shorter schedule and wait out the grace
-  // period before destroying anything a straggling guard could still
-  // reach. synchronize() also reclaims the superseded schedule objects
-  // themselves.
-  std::vector<std::unique_ptr<PassState>> retiring;
+  // Serve thread, between pool calls: no worker can reach a popped pass.
   while (!pendingPasses_.empty() &&
-         pendingPasses_.front()->applied.load(std::memory_order_relaxed) ==
+         pendingPasses_.front().applied.load(std::memory_order_relaxed) ==
              numObjects_) {
-    retiring.push_back(std::move(pendingPasses_.front()));
     pendingPasses_.pop_front();
   }
-  if (retiring.empty()) return;
-  publishSchedule();
-  schedule_.synchronize();
-  retiring.clear();
 }
 
 CheckpointData EpochServer::snapshotStateAt(std::uint64_t epochs) const {
@@ -479,18 +461,6 @@ void EpochServer::restoreFrom(const CheckpointData& data) {
   checkpointsWritten_ = data.checkpointsWritten;
   drift_.serveCongestionMark = data.serveCongestionMark;
   drift_.lowerBoundMark = data.lowerBoundMark;
-  // The snapshot was quiescent, so the schedule restarts empty with its
-  // base at the restored pass count.
-  publishSchedule();
-}
-
-void EpochServer::publishSchedule() {
-  auto next = std::make_unique<MigrationSchedule>();
-  next->baseVersion =
-      passesBegun_ - static_cast<std::uint64_t>(pendingPasses_.size());
-  next->passes.reserve(pendingPasses_.size());
-  for (const auto& pass : pendingPasses_) next->passes.push_back(pass.get());
-  schedule_.publish(std::move(next));
 }
 
 }  // namespace hbn::serve

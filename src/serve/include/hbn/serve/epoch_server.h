@@ -25,14 +25,18 @@
 //            only after it migrates and serves, so its row is still
 //            bit-equal to its trigger-time value when its lazy target
 //            is queried — see the HandoffPass contract), and the pass
-//            is published to the workers RCU-style (util::RcuCell:
-//            atomic schedule swap + epoch-grace reclamation). Each
-//            object migrates lazily — on its next touch, or in the
-//            end-of-stream drain — with its Steiner migration traffic
-//            charged exactly once, so the final ServeReport counters
-//            are bit-identical to barrier mode; only the *timing* of
-//            migration work moves off the drift epoch, which is what
-//            flattens the p99 spike.
+//            joins the pending-pass queue. Each object migrates lazily
+//            — on its next touch, or in the end-of-stream drain — with
+//            its Steiner migration traffic charged exactly once, so the
+//            final ServeReport counters are bit-identical to barrier
+//            mode; only the *timing* of migration work moves off the
+//            drift epoch, which is what flattens the p99 spike.
+//
+// Handoff publication needs no synchronisation of its own: the pending-
+// pass queue and pass count are written only on the serve thread between
+// pool calls (beginPass, retireAppliedPasses, restoreFrom) and read by
+// workers only inside one. core::parallelRun returns only after every
+// body finished, so the pool's join orders each write before the reads.
 //
 // ServeOptions.pipeline = false restores the barrier engine: ingest
 // runs inline and every handoff pass is drained immediately inside the
@@ -69,7 +73,6 @@
 #include "hbn/serve/pipeline.h"
 #include "hbn/serve/request_stream.h"
 #include "hbn/util/fault.h"
-#include "hbn/util/rcu.h"
 #include "hbn/util/stats.h"
 #include "hbn/workload/workload.h"
 
@@ -99,7 +102,7 @@ struct ServeOptions {
   /// (e.g. slow adaptation under a high replication threshold).
   double replaceDrift = 3.0;
   /// Pipelined serving (default): threaded double-buffered ingest plus
-  /// lazy RCU-published handoff application. false = barrier mode
+  /// lazy per-object handoff application. false = barrier mode
   /// (inline ingest, stop-the-world handoffs) — same results, spikier
   /// tails.
   bool pipeline = true;
@@ -144,7 +147,8 @@ struct EpochRecord {
   /// land when objects are touched, so the per-epoch trajectory differs
   /// from barrier mode even though the end-of-run total is identical).
   double congestion = 0.0;
-  /// Analytic offline lower bound of the cumulative frequencies.
+  /// Analytic lower bound of the cumulative frequencies — on static
+  /// placements only, so a migrating policy can serve below it.
   double lowerBound = 0.0;
   /// congestion / lowerBound (1 when both zero, +inf when only LB is 0).
   /// Consumers serialising epoch records should expect the +inf case:
@@ -192,16 +196,17 @@ struct ServeReport {
   /// lifetime (the sample the percentiles estimate from is capped at
   /// ServeOptions.latencySample).
   std::uint64_t latencySamples = 0;
-  /// Final cumulative congestion / offline lower bound / their ratio.
+  /// Final cumulative congestion / analytic static-placement lower
+  /// bound (see EpochRecord::lowerBound) / their ratio.
   double congestion = 0.0;
   double lowerBound = 0.0;
   double ratio = 0.0;
   std::uint64_t replacements = 0;
   core::Count replications = 0;
   core::Count invalidations = 0;
-  /// Bytes of per-request buffering the server ever holds at once —
-  /// proportional to the epoch (× the two pipeline slots), never to
-  /// the stream.
+  /// Bytes of per-request buffering the server holds at the end of the
+  /// run (see EpochIngest::bufferBytes) — never proportional to the
+  /// stream.
   std::uint64_t epochBufferBytes = 0;
   /// Robustness counters (server lifetime, so they survive a restore):
   /// epochs assembled inline by the stall watchdog, handoff publication
@@ -268,47 +273,31 @@ class EpochServer {
   }
 
  private:
-  /// One pending §4 handoff: the policy's pass plus retirement
-  /// bookkeeping. `applied` counts objects migrated through it; the
-  /// pass retires (and its snapshot frees) once every object has
-  /// applied it and a schedule without it has been published and its
-  /// RCU grace period has elapsed.
+  /// One pending §4 handoff and the number of objects migrated through
+  /// it; it retires once every object has applied it.
   struct PassState {
     std::unique_ptr<dynamic::HandoffPass> pass;
-    std::uint64_t version = 0;  ///< 1-based pass sequence number
     std::atomic<std::int64_t> applied{0};
   };
 
-  /// The immutable pass list workers read through the RCU cell.
-  /// Object x has passes pending iff appliedVersion_[x] <
-  /// baseVersion + passes.size(); entry i applies pass version
-  /// baseVersion + i + 1.
-  struct MigrationSchedule {
-    std::uint64_t baseVersion = 0;  ///< fully retired passes
-    std::vector<PassState*> passes;
-  };
-
   /// Opens a HandoffPass over aggregated_ (zero-copy; see the
-  /// HandoffPass row-stability contract) and publishes the extended
-  /// schedule. Publication failures (injected or real) are retried up
-  /// to ServeOptions.handoffRetries times with escalating backoff;
-  /// exhaustion throws serve::Error{Handoff, epoch}.
+  /// HandoffPass row-stability contract) and queues it. Failures
+  /// (injected or real) are retried up to ServeOptions.handoffRetries
+  /// times with escalating backoff; exhaustion throws
+  /// serve::Error{Handoff, epoch}.
   void beginPass(int workers, std::uint64_t epoch);
   /// Applies every pass still pending for `x`, charging migration
   /// traffic into `migration` via `acc`. Called from workers (the
-  /// object split makes x exclusive) under an RCU read guard.
+  /// object split makes x exclusive).
   void applyPendingMigrations(ObjectId x, int worker,
-                              std::uint64_t targetVersion,
                               core::LoadMap& migration,
                               core::FlatLoadAccumulator& acc);
   /// Applies all pending passes to every object now (the barrier drain
   /// and the end-of-stream drain) on the per-worker slots, merging
   /// migration traffic into loads_.
   void drainAllPasses(std::vector<EpochWorker>& slots);
-  /// Pops fully applied passes off the front of the pending queue,
-  /// republishes the schedule and reclaims through the grace period.
+  /// Pops fully applied passes off the front of the pending queue.
   void retireAppliedPasses();
-  void publishSchedule();
   /// snapshotState with an explicit completed-epoch count (the serve
   /// loop checkpoints before pushing the epoch's record).
   [[nodiscard]] CheckpointData snapshotStateAt(std::uint64_t epochs) const;
@@ -341,10 +330,10 @@ class EpochServer {
   /// shared comparison — see hbn/serve/drift.h; the shard coordinator
   /// drives the identical struct).
   DriftTrigger drift_;
-  /// Lazy handoff machinery: pending passes in creation order, the
-  /// RCU-published schedule, and per-object applied-pass counts.
-  std::deque<std::unique_ptr<PassState>> pendingPasses_;
-  util::RcuCell<MigrationSchedule> schedule_;
+  /// Lazy handoff machinery: pending passes in creation order and
+  /// per-object applied-pass counts (x has passes pending iff
+  /// appliedVersion_[x] < passesBegun_).
+  std::deque<PassState> pendingPasses_;
   std::vector<std::uint64_t> appliedVersion_;
   std::uint64_t passesBegun_ = 0;
   /// Robustness counters (see ServeReport).

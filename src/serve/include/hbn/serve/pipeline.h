@@ -116,9 +116,9 @@ class EpochIngest {
   /// Returns a served batch's slot to the ingest thread for refilling.
   void release(EpochBatch* batch);
 
-  /// Bytes of per-request buffering across all slots — the pipelined
-  /// engine's epochBufferBytes (proportional to the epoch and the slot
-  /// count, never to the stream).
+  /// Bytes of per-request buffering across all slots — the engine's
+  /// epochBufferBytes: bounded by the declared epoch and, past 65536
+  /// events, by the traffic read; never by the stream length.
   [[nodiscard]] std::uint64_t bufferBytes() const noexcept;
 
  private:

@@ -15,6 +15,9 @@ namespace {
 /// epoch contributes up to this many latency samples. Small enough that
 /// stamping is free, large enough that per-epoch p99 means something.
 constexpr std::size_t kIngestChunks = 16;
+/// Largest single fill chunk: the buffers grow chunk by chunk with the
+/// traffic read, never more than this ahead of the events they hold.
+constexpr std::size_t kMaxFillChunk = 4096;
 
 }  // namespace
 
@@ -65,8 +68,14 @@ void EpochIngest::shutdown() noexcept {
 }
 
 void EpochIngest::sizeBatch(EpochBatch& batch) const {
-  batch.raw.resize(epochSize_);
-  batch.bucketed.resize(epochSize_);
+  // An epoch that fits in kIngestChunks uncapped chunks is sized up
+  // front: a closed-loop stream fills it anyway, and growing to it would
+  // leave freed reallocation steps resident. Larger declared epochs grow
+  // with the events actually read (fillBatch).
+  if (epochSize_ <= kIngestChunks * kMaxFillChunk) {
+    batch.raw.resize(epochSize_);
+    batch.bucketed.resize(epochSize_);
+  }
   batch.offsets.resize(static_cast<std::size_t>(numObjects_) + 1);
   batch.touched.reserve(
       std::min(epochSize_, static_cast<std::size_t>(numObjects_)));
@@ -76,10 +85,12 @@ void EpochIngest::sizeBatch(EpochBatch& batch) const {
 void EpochIngest::fillBatch(EpochBatch& batch) {
   batch.n = 0;
   batch.arrivals.clear();
-  const std::size_t chunk = std::max<std::size_t>(
-      1, (epochSize_ + kIngestChunks - 1) / kIngestChunks);
+  const std::size_t chunk = std::clamp<std::size_t>(
+      (epochSize_ + kIngestChunks - 1) / kIngestChunks, 1, kMaxFillChunk);
   while (batch.n < epochSize_) {
     const std::size_t want = std::min(chunk, epochSize_ - batch.n);
+    // High-water growth, never shrinking.
+    if (batch.raw.size() < batch.n + want) batch.raw.resize(batch.n + want);
     const std::size_t got = stream_->fill(
         std::span<RequestEvent>(batch.raw.data() + batch.n, want));
     if (got == 0) break;
@@ -87,6 +98,7 @@ void EpochIngest::fillBatch(EpochBatch& batch) {
     batch.n += got;
   }
   if (batch.n == 0) return;
+  if (batch.bucketed.size() < batch.n) batch.bucketed.resize(batch.n);
   for (std::size_t i = 0; i < batch.n; ++i) {
     const RequestEvent& ev = batch.raw[i];
     if (ev.object < 0 || ev.object >= numObjects_) {
@@ -110,6 +122,8 @@ bool EpochIngest::fillNextEpoch(EpochBatch& batch) {
   std::uint64_t epoch;
   {
     std::lock_guard<std::mutex> lock(mutex_);
+    // The watchdogged consumer may have hit end of stream already.
+    if (exhausted_) return false;
     epoch = nextEpoch_;
   }
   batch.epoch = epoch;

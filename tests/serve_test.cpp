@@ -10,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -395,7 +396,7 @@ TEST(EpochServer, InfiniteRatioIsAFixedPointThroughJson) {
 }
 
 TEST(EpochServer, PipelinedMatchesBarrierBitForBit) {
-  // The pipelined engine (threaded ingest + lazy RCU-published handoff
+  // The pipelined engine (threaded ingest + lazy per-object handoff
   // application) must produce exactly the barrier engine's deterministic
   // state: counters, copy sets, edge loads, handoff count — on a skewed
   // drift workload that actually fires re-placements, for 1 and N
@@ -403,7 +404,6 @@ TEST(EpochServer, PipelinedMatchesBarrierBitForBit) {
   const net::Tree tree = net::makeClusterNetwork(4, 8);
   const net::RootedTree rooted(tree, tree.defaultRoot());
   workload::StreamParams params;
-  params.numObjects = 64;
   params.readFraction = 0.995;
   struct Outcome {
     std::string digest;
@@ -411,11 +411,13 @@ TEST(EpochServer, PipelinedMatchesBarrierBitForBit) {
     std::uint64_t replacements = 0;
     double handoffs = 0.0;
   };
-  const auto run = [&](bool pipeline, int threads) {
+  const auto run = [&](int numObjects, std::size_t epochSize, bool pipeline,
+                       int threads) {
+    params.numObjects = numObjects;
     const auto stream =
         makeGeneratedStream("skewed", tree, params, 9, 120'000);
     ServeOptions options;
-    options.epochSize = 1 << 13;
+    options.epochSize = epochSize;
     options.threads = threads;
     options.replaceDrift = 2.0;
     options.pipeline = pipeline;
@@ -431,18 +433,28 @@ TEST(EpochServer, PipelinedMatchesBarrierBitForBit) {
     outcome.handoffs = report.policyMetrics.at("policy.handoffs");
     return outcome;
   };
-  const Outcome barrier = run(false, 1);
-  ASSERT_GT(barrier.replacements, 0u)
-      << "drift never fired; the test is not exercising the handoff path";
-  for (const int threads : {1, 3}) {
-    const Outcome pipelined = run(true, threads);
-    EXPECT_EQ(pipelined.digest, barrier.digest) << "threads " << threads;
-    // The serve-only drift trigger makes the schedule mode-independent:
-    // the same epochs are marked replaced even though migration traffic
-    // lands at different times.
-    EXPECT_EQ(pipelined.replaced, barrier.replaced) << "threads " << threads;
-    EXPECT_EQ(pipelined.handoffs, barrier.handoffs) << "threads " << threads;
+  // Dense: 64 objects, most touched every epoch. Sparse: 4096 objects
+  // in 1024-event epochs re-place almost every epoch while most objects
+  // go untouched between passes, so an object chains through several
+  // pending passes on its next touch and passes retire at the drain.
+  for (const auto& [numObjects, epochSize] :
+       {std::pair<int, std::size_t>{64, 1 << 13}, {4096, 1 << 10}}) {
+    const Outcome barrier = run(numObjects, epochSize, false, 1);
+    ASSERT_GT(barrier.replacements, 0u)
+        << "drift never fired; the test is not exercising the handoff path";
+    for (const int threads : {1, 3}) {
+      const Outcome pipelined = run(numObjects, epochSize, true, threads);
+      const std::string where = std::to_string(numObjects) +
+                                " objects, threads " + std::to_string(threads);
+      EXPECT_EQ(pipelined.digest, barrier.digest) << where;
+      // The serve-only drift trigger makes the schedule mode-independent:
+      // the same epochs are marked replaced even though migration traffic
+      // lands at different times.
+      EXPECT_EQ(pipelined.replaced, barrier.replaced) << where;
+      EXPECT_EQ(pipelined.handoffs, barrier.handoffs) << where;
+    }
   }
+  params.numObjects = 64;
   // And the static policy (memoised monolithic handoff pass) agrees too.
   const auto runStatic = [&](bool pipeline) {
     const auto stream =
@@ -518,6 +530,41 @@ TEST(EpochServer, MillionRequestStreamNeverMaterialises) {
                      sizeof(std::size_t)));
   EXPECT_LT(rssAfter - rssBefore, 16 * 1024)  // < 16 MB growth
       << "serving resident set grew as if the stream were materialised";
+}
+
+TEST(EpochServer, HugeDeclaredEpochBuffersOnlyTheTraffic) {
+  // Past kIngestChunks full fill chunks the per-request buffers grow
+  // with the events actually read: a 2^32-event epoch neither allocates
+  // the declared epoch nor fails, and serves exactly what an epoch sized
+  // to the stream serves, in both engine modes.
+  const net::Tree tree = net::makeClusterNetwork(2, 4);
+  const net::RootedTree rooted(tree, tree.defaultRoot());
+  std::vector<RequestEvent> events;
+  for (int i = 0; i < 20'000; ++i) {
+    events.push_back(
+        RequestEvent{i % 4, tree.processors()[i * 5 % 8], i % 3 == 0});
+  }
+  for (const std::size_t count : {std::size_t{10}, events.size()}) {
+    const std::vector<RequestEvent> prefix(events.begin(),
+                                           events.begin() + count);
+    for (const bool pipeline : {true, false}) {
+      const auto serveIn = [&](std::size_t epochSize) {
+        ServeOptions options;
+        options.epochSize = epochSize;
+        options.pipeline = pipeline;
+        EpochServer server(rooted, 4, options);
+        VectorStream stream(prefix);
+        const ServeReport report = server.serve(stream);
+        return std::make_pair(report, stateJson(server, report));
+      };
+      SCOPED_TRACE(testing::Message() << count << " events, pipeline "
+                                      << pipeline);
+      const auto [huge, digest] = serveIn(std::size_t{1} << 32);
+      EXPECT_EQ(digest, serveIn(count).second);
+      EXPECT_EQ(huge.totalRequests, count);
+      EXPECT_LT(huge.epochBufferBytes, 1u << 20);
+    }
+  }
 }
 
 /// stateJson plus everything else the per-object epoch body writes:

@@ -236,7 +236,7 @@ void printUsage(std::ostream& os) {
         "                    bound growth since the last re-placement;\n"
         "                    0 disables (default 3.0)\n"
         "  --pipeline MODE   on (default): threaded double-buffered ingest\n"
-        "                    plus lazy RCU-published re-placement; off:\n"
+        "                    plus lazy per-object re-placement; off:\n"
         "                    barrier engine (same results, spikier tails)\n"
         "  --latency-sample N  request-latency reservoir capacity for the\n"
         "                    p50/p99/p999 metrics; 0 disables (default 4096)\n"
