@@ -4,7 +4,7 @@
 // serving stack over its shard and the coordinator merges the
 // convergecast stats.
 //
-// Three claims, per the sharding design:
+// Two claims, per the sharding design:
 //   identity     for EVERY registered policy, the merged loads, final
 //                congestion/lower bound/ratio, and the
 //                replication/invalidation/re-placement counters of a
@@ -14,15 +14,6 @@
 //   transports   the socket transport (exec'd worker processes over
 //                Unix sockets) produces the same bits as in-process
 //                loopback.
-//   scaling      on a skewed stream with the adaptive policy, the
-//                critical-path throughput (Σ over epochs of the
-//                slowest shard's CPU time — what N truly parallel
-//                workers would take; see docs/sharding.md) scales to
-//                >= 1.5x at 4 workers. Wall clock is reported
-//                alongside but not gated: on fewer cores than workers
-//                the shards time-slice and wall clock measures the
-//                machine, not the protocol.
-#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -48,22 +39,6 @@ constexpr std::uint64_t kIdentityRequestsFull = 120'000;
 constexpr std::uint64_t kIdentityRequestsSmoke = 48'000;
 constexpr std::size_t kIdentityEpoch = 8192;
 constexpr int kIdentityObjects = 256;
-
-/// Scaling-phase scale: the adaptive policy on a skewed stream over a
-/// small hot set, where per-object serving dominates the per-worker
-/// fixed epoch work (frame decode and the per-epoch stats) and sharding
-/// has something to win.
-constexpr std::uint64_t kScalingRequestsFull = 640'000;
-constexpr std::uint64_t kScalingRequestsSmoke = 160'000;
-constexpr std::size_t kScalingEpoch = 32768;
-constexpr int kScalingObjects = 256;
-constexpr const char* kScalingPolicy = "adaptive";
-
-/// Critical-path speedup floors at 4 workers. Full mode gates the
-/// headline claim; smoke scale keeps a direction-only margin because
-/// five-epoch runs leave little amortisation.
-constexpr double kSpeedupFloorFull = 1.5;
-constexpr double kSpeedupFloorSmoke = 1.05;
 
 std::vector<workload::RequestEvent> materialize(const net::Tree& tree,
                                                 int objects,
@@ -128,17 +103,12 @@ class ShardedServingExperiment final : public engine::Experiment {
     const int identityObjects =
         objectsOverride_ > 0 ? static_cast<int>(objectsOverride_)
                              : kIdentityObjects;
-    const std::uint64_t scalingRequests =
-        requestsOverride_ > 0
-            ? static_cast<std::uint64_t>(requestsOverride_)
-            : (ctx.smoke ? kScalingRequestsSmoke : kScalingRequestsFull);
 
     ctx.os() << "E16 — multi-process sharded serving: coordinator/worker "
                 "protocol vs the single-process engine\nseed="
              << seed << ", identity: " << identityRequests
              << " requests x epoch " << identityEpoch << " x "
-             << identityObjects << " objects; scaling: " << scalingRequests
-             << " requests (policy=" << kScalingPolicy << ")\n\n";
+             << identityObjects << " objects\n\n";
 
     const auto singleProcess =
         [&](const std::vector<workload::RequestEvent>& events,
@@ -247,78 +217,6 @@ class ShardedServingExperiment final : public engine::Experiment {
              << (socketHeld ? "bit-identical to loopback" : "DIVERGED")
              << "\n";
 
-    // --- Phase 3: critical-path scaling on the skewed stream. --------
-    const std::vector<workload::RequestEvent> scalingEvents =
-        materialize(tree, kScalingObjects, seed + 2, scalingRequests);
-    util::Table scalingTable({"workers", "wall Mreq/s", "critical Mreq/s",
-                              "speedup", "bytes/request", "epoch p99 ms"});
-    double baselineCritical = 0.0;
-    double speedupAt4 = 0.0;
-    std::string scalingReference;
-    bool scalingIdentity = true;
-    for (const int workers : {1, 2, 4}) {
-      std::string digest;
-      util::Timer timer;
-      const shard::ShardedReport report =
-          sharded(scalingEvents, kScalingPolicy, kScalingObjects,
-                  kScalingEpoch, workers, /*socket=*/false, &digest);
-      reporter.addTiming(timer.millis());
-      if (workers == 1) {
-        baselineCritical = report.requestsPerSecCritical;
-        scalingReference = digest;
-      } else {
-        scalingIdentity = scalingIdentity && digest == scalingReference;
-      }
-      const double speedup =
-          baselineCritical > 0.0
-              ? report.requestsPerSecCritical / baselineCritical
-              : 0.0;
-      if (workers == 4) speedupAt4 = speedup;
-      scalingTable.addRow(
-          {std::to_string(workers),
-           util::formatDouble(report.requestsPerSec / 1e6, 2),
-           util::formatDouble(report.requestsPerSecCritical / 1e6, 2),
-           util::formatDouble(speedup, 2),
-           util::formatDouble(report.bytesPerRequest, 1),
-           util::formatDouble(report.epochMsP99, 2)});
-
-      reporter.beginRow();
-      reporter.field("phase", "scaling");
-      reporter.field("policy", kScalingPolicy);
-      reporter.field("transport", "loopback");
-      reporter.field("workers", workers);
-      reporter.field("requests",
-                     static_cast<std::int64_t>(report.totalRequests));
-      reporter.field("epochs", static_cast<std::int64_t>(report.epochs));
-      reporter.field("wall_ms", report.wallMs);
-      reporter.field("requests_per_sec", report.requestsPerSec);
-      reporter.field("critical_path_ms", report.criticalPathMs);
-      reporter.field("requests_per_sec_critical",
-                     report.requestsPerSecCritical);
-      reporter.field("speedup_critical", speedup);
-      reporter.field("epoch_ms_p50", report.epochMsP50);
-      reporter.field("epoch_ms_p99", report.epochMsP99);
-      reporter.field("congestion", report.congestion);
-      reporter.field("lower_bound", report.lowerBound);
-      reporter.field("ratio", report.ratio);
-      reporter.field("replacements",
-                     static_cast<std::int64_t>(report.replacements));
-      reporter.field("cross_shard_bytes",
-                     static_cast<std::int64_t>(report.crossShardBytes));
-      reporter.field("bytes_per_request", report.bytesPerRequest);
-    }
-    ctx.os() << "\ncritical-path scaling, " << kScalingPolicy
-             << " policy on the skewed stream:\n";
-    scalingTable.print(ctx.os());
-
-    const double speedupFloor =
-        ctx.smoke ? kSpeedupFloorSmoke : kSpeedupFloorFull;
-    const bool scalingHeld = speedupAt4 >= speedupFloor;
-    ctx.os() << "\ncritical-path speedup at 4 workers: "
-             << util::formatDouble(speedupAt4, 2) << "x (floor "
-             << util::formatDouble(speedupFloor, 2) << "x, "
-             << (ctx.smoke ? "smoke" : "full") << " mode)\n";
-
     reporter.beginRow("check");
     reporter.field("claim",
                    "sharded serving is bit-identical to the "
@@ -329,21 +227,7 @@ class ShardedServingExperiment final : public engine::Experiment {
     reporter.field("claim",
                    "socket transport produces the same bits as loopback");
     reporter.field("held", socketHeld);
-    reporter.beginRow("check");
-    reporter.field("claim",
-                   "aggregate load digests are worker-count independent "
-                   "on the scaling stream");
-    reporter.field("held", scalingIdentity);
-    reporter.beginRow("check");
-    reporter.field("claim",
-                   ctx.smoke
-                       ? "critical-path throughput does not lose at 4 "
-                         "workers (smoke floor)"
-                       : "critical-path throughput scales >= 1.5x at 4 "
-                         "workers on the skewed stream");
-    reporter.field("value", speedupAt4);
-    reporter.field("held", scalingHeld);
-    return identityHeld && socketHeld && scalingIdentity && scalingHeld;
+    return identityHeld && socketHeld;
   }
 
  private:
@@ -359,9 +243,8 @@ void registerShardedServing(engine::ExperimentRegistry& registry) {
   registry.add(
       {"sharded-serving",
        "multi-process sharded serving: per-policy digest identity with "
-       "the single-process engine, socket-vs-loopback transport "
-       "equivalence, and critical-path throughput scaling vs worker "
-       "count",
+       "the single-process engine at 1, 2 and 4 workers, and "
+       "socket-vs-loopback transport equivalence",
        "E16 / docs/sharding.md (coordinator/worker protocol)",
        "requests=N,epoch=N,objects=N"},
       [](engine::StrategyOptions& options) {

@@ -2,9 +2,9 @@
 //
 // The paper's placement and serving work is independent per object, so
 // every object-parallel loop in the engine — placement strategies,
-// extended-nibble, the epoch server and the shard worker — runs through
-// the same mechanism: parallelRun(workers, body) runs body(worker) once
-// per worker index, worker 0 on the calling thread and the rest on a
+// extended-nibble and the epoch server — runs through the same
+// mechanism: parallelRun(workers, body) runs body(worker) once per
+// worker index, worker 0 on the calling thread and the rest on a
 // persistent pool whose threads start lazily on the first call that
 // needs them and are then reused for the life of the process (a forked
 // child starts its own). Each body writes only to its own worker's

@@ -52,6 +52,21 @@ EpochServer::EpochServer(const net::RootedTree& rooted, int numObjects,
   }
 }
 
+void finishReport(ServeReport& report, double wallMs,
+                  const util::Accumulator& epochMs, double congestion,
+                  double lowerBound) {
+  report.wallMs = wallMs;
+  report.requestsPerSec =
+      wallMs > 0.0 ? static_cast<double>(report.totalRequests) / wallMs * 1e3
+                   : 0.0;
+  report.epochMsP50 = epochMs.empty() ? 0.0 : epochMs.percentile(50.0);
+  report.epochMsP99 = epochMs.empty() ? 0.0 : epochMs.percentile(99.0);
+  report.epochMsP999 = epochMs.empty() ? 0.0 : epochMs.percentile(99.9);
+  report.congestion = congestion;
+  report.lowerBound = lowerBound;
+  report.ratio = dynamic::competitiveRatio(congestion, lowerBound);
+}
+
 ServeReport EpochServer::serve(RequestStream& stream) {
   const net::Tree& tree = rooted_->tree();
   const int edgeCount = tree.edgeCount();
@@ -264,22 +279,12 @@ ServeReport EpochServer::serve(RequestStream& stream) {
 
   // Read at the end: the buffers grow with the traffic.
   report.epochBufferBytes = ingest.bufferBytes();
-  report.wallMs = total.millis();
-  report.requestsPerSec =
-      report.wallMs > 0.0
-          ? static_cast<double>(report.totalRequests) / report.wallMs * 1e3
-          : 0.0;
-  report.epochMsP50 = epochMs.empty() ? 0.0 : epochMs.percentile(50.0);
-  report.epochMsP99 = epochMs.empty() ? 0.0 : epochMs.percentile(99.0);
-  report.epochMsP999 = epochMs.empty() ? 0.0 : epochMs.percentile(99.9);
+  finishReport(report, total.millis(), epochMs, loads_.congestion(tree),
+               lowerBound_.congestion());
   report.latencyMsP50 = latency_.empty() ? 0.0 : latency_.percentile(50.0);
   report.latencyMsP99 = latency_.empty() ? 0.0 : latency_.percentile(99.0);
   report.latencyMsP999 = latency_.empty() ? 0.0 : latency_.percentile(99.9);
   report.latencySamples = latency_.seen();
-  report.congestion = loads_.congestion(tree);
-  report.lowerBound = lowerBound_.congestion();
-  report.ratio =
-      dynamic::competitiveRatio(report.congestion, report.lowerBound);
   report.replacements = replacements_;
   report.replications = replications_;
   report.invalidations = invalidations_;

@@ -216,6 +216,14 @@ struct ServeReport {
   std::uint64_t checkpoints = 0;
 };
 
+/// The run-level summary both engines (EpochServer and
+/// shard::ShardCoordinator) cut the same way at the end of a run:
+/// wallMs and throughput over report.totalRequests, the percentiles of
+/// `epochMs`, and the final congestion, lower bound and their ratio.
+void finishReport(ServeReport& report, double wallMs,
+                  const util::Accumulator& epochMs, double congestion,
+                  double lowerBound);
+
 class EpochServer {
  public:
   /// `rooted` must outlive the server. Objects start with one copy on

@@ -49,6 +49,11 @@ ShardCoordinator::ShardCoordinator(const net::Tree& tree, int numObjects,
   if (options_.serve.epochSize < 1) {
     throw std::invalid_argument("ShardCoordinator: epochSize >= 1");
   }
+  if (options_.serve.threads != 1) {
+    throw std::invalid_argument(
+        "ShardCoordinator: each shard worker serves on one thread "
+        "(threads must be 1; scale with more workers)");
+  }
   if (!options_.serve.checkpointDir.empty()) {
     throw std::invalid_argument(
         "ShardCoordinator: checkpointing is single-process only "
@@ -129,6 +134,12 @@ void ShardCoordinator::gatherRows(std::uint64_t epoch) {
     for (bool last = false; !last;) {
       const Frame frame = expect(s, FrameType::kRows, epoch);
       RowsMsg msg = decodeFrom<RowsMsg>(s, frame, epoch);
+      if (msg.epoch != epoch) {
+        throw serve::Error(serve::Stage::Frame, epoch,
+                           "shard " + std::to_string(s) +
+                               ": rows for epoch " +
+                               std::to_string(msg.epoch));
+      }
       for (ObjectRow& row : msg.rows) {
         if (row.object < 0 || row.object >= numObjects_ ||
             partition_.ownerOf(row.object) != s) {
@@ -159,7 +170,6 @@ void ShardCoordinator::handshake() {
     hello.shardCount = shards;
     hello.numObjects = numObjects_;
     hello.epochSize = options_.serve.epochSize;
-    hello.threads = options_.serve.threads;
     hello.partitionKind = static_cast<std::uint8_t>(options_.partition);
     hello.partitionSeed = options_.partitionSeed;
     hello.policySpec = options_.serve.policy;
@@ -196,6 +206,7 @@ ShardedReport ShardCoordinator::serve(serve::RequestStream& stream) {
 
     ShardedReport report;
     report.policy = options_.serve.policy;
+    report.pipeline = options_.serve.pipeline;
     report.transport = transportName_;
     report.partition = partitionKindName(options_.partition);
     report.workers = shards;
@@ -208,7 +219,6 @@ ShardedReport ShardCoordinator::serve(serve::RequestStream& stream) {
                               options_.serve.pipeline, nullptr, 0);
     util::Accumulator epochMs;
     util::Timer total;
-    double lastLowerBound = 0.0;
 
     for (;;) {
       const serve::AcquireResult acquired =
@@ -218,6 +228,7 @@ ShardedReport ShardCoordinator::serve(serve::RequestStream& stream) {
       util::Timer epochTimer;
       const std::uint64_t epochIndex = report.epochs;
       const std::size_t n = batch->n;
+      if (acquired.degraded) ++report.degradedEpochs;
 
       scatter(*batch, epochIndex);
       ingest.release(batch);
@@ -271,7 +282,6 @@ ShardedReport ShardCoordinator::serve(serve::RequestStream& stream) {
         epochBusy = std::max(epochBusy, stats.busyMs);
       }
       const double lowerBound = lowerBoundMinima_.congestion(tree);
-      lastLowerBound = lowerBound;
 
       serve::EpochRecord record;
       record.index = epochIndex;
@@ -305,6 +315,12 @@ ShardedReport ShardCoordinator::serve(serve::RequestStream& stream) {
           Frame migrateFrame = expect(s, FrameType::kMigrate, epochIndex);
           const MigrateMsg migrate =
               decodeFrom<MigrateMsg>(s, migrateFrame, epochIndex);
+          if (migrate.epoch != epochIndex) {
+            throw serve::Error(serve::Stage::Frame, epochIndex,
+                               "shard " + std::to_string(s) +
+                                   ": migrate for epoch " +
+                                   std::to_string(migrate.epoch));
+          }
           if (migrate.loads.size() != static_cast<std::size_t>(edgeCount)) {
             throw serve::Error(serve::Stage::Frame, epochIndex,
                                "shard " + std::to_string(s) +
@@ -370,23 +386,10 @@ ShardedReport ShardCoordinator::serve(serve::RequestStream& stream) {
     }
     closeAll();
 
-    report.wallMs = total.millis();
-    report.requestsPerSec =
-        report.wallMs > 0.0
-            ? static_cast<double>(report.totalRequests) / report.wallMs * 1e3
-            : 0.0;
-    report.requestsPerSecCritical =
-        report.criticalPathMs > 0.0
-            ? static_cast<double>(report.totalRequests) /
-                  report.criticalPathMs * 1e3
-            : 0.0;
-    report.epochMsP50 = epochMs.empty() ? 0.0 : epochMs.percentile(50.0);
-    report.epochMsP99 = epochMs.empty() ? 0.0 : epochMs.percentile(99.0);
-    report.epochMsP999 = epochMs.empty() ? 0.0 : epochMs.percentile(99.9);
-    report.congestion = loads_.congestion(tree);
-    report.lowerBound = lastLowerBound;
-    report.ratio =
-        dynamic::competitiveRatio(report.congestion, report.lowerBound);
+    report.epochBufferBytes = ingest.bufferBytes();
+    serve::finishReport(report, total.millis(), epochMs,
+                        loads_.congestion(tree),
+                        lowerBoundMinima_.congestion(tree));
     report.bytesPerRequest =
         report.totalRequests > 0
             ? static_cast<double>(report.crossShardBytes) /

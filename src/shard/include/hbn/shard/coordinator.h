@@ -64,8 +64,9 @@ struct EpochBatch;
 
 namespace hbn::shard {
 
-/// Sharded-serving knobs. `serve` carries the per-worker engine
-/// configuration (epochSize, policy, replaceDrift, threads);
+/// Sharded-serving knobs. `serve` carries the engine configuration
+/// (epochSize, policy, replaceDrift, pipeline, stallTimeoutMs); each
+/// worker serves on one thread, so serve.threads must be 1, and
 /// checkpointing/restore and fault injection are single-process
 /// features and must be off.
 struct ShardOptions {
@@ -90,33 +91,19 @@ struct ShardBreakdown {
   std::map<std::string, double> policyMetrics;
 };
 
-/// Aggregate outcome of one sharded serve run.
-struct ShardedReport {
-  std::string policy;
+/// Aggregate outcome of one sharded serve run: the single-process
+/// report's fields (the coordinator samples no request latencies and
+/// writes no checkpoints; policy metrics are per shard) plus the shard
+/// layer's own.
+struct ShardedReport : serve::ServeReport {
   std::string transport;   ///< "loopback" | "socket"
   std::string partition;   ///< "hash" | "range"
   int workers = 1;
-  std::uint64_t totalRequests = 0;
-  std::uint64_t epochs = 0;
-  double wallMs = 0.0;
-  double requestsPerSec = 0.0;  ///< honest wall-clock throughput
-  /// Critical-path time: Σ over epochs of the slowest shard's busy
-  /// time (decode + serve + aggregate + lower bound [+ row gather +
-  /// migration]). On a machine with fewer cores than workers the wall
-  /// clock serialises the shards, so this models what N genuinely
-  /// parallel workers would take; requestsPerSecCritical is the
-  /// scaling metric e16 reports alongside the honest wall clock.
+  /// Σ over epochs of the slowest shard's busy CPU time (decode +
+  /// serve + aggregate + lower bound [+ row gather + migration]). A
+  /// reported diagnostic, not a throughput: coordination, ingest and
+  /// the wire are outside it.
   double criticalPathMs = 0.0;
-  double requestsPerSecCritical = 0.0;
-  double epochMsP50 = 0.0;
-  double epochMsP99 = 0.0;
-  double epochMsP999 = 0.0;
-  double congestion = 0.0;
-  double lowerBound = 0.0;
-  double ratio = 0.0;
-  std::uint64_t replacements = 0;
-  core::Count replications = 0;
-  core::Count invalidations = 0;
   /// Coordinator<->worker traffic: every frame byte in both
   /// directions, summed over links.
   std::uint64_t crossShardBytes = 0;
@@ -130,7 +117,8 @@ class ShardCoordinator {
   /// transports, one per worker, whose peer ends run
   /// shard::runWorker; the coordinator borrows them (clusters own
   /// them — see hbn/shard/process.h). Throws std::invalid_argument on
-  /// unsupported options (checkpointing, fault injection, no links).
+  /// unsupported options (threads != 1, checkpointing, fault
+  /// injection, no links).
   ShardCoordinator(const net::Tree& tree, int numObjects,
                    ShardOptions options,
                    std::vector<FramedTransport*> links,

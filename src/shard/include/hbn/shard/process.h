@@ -57,7 +57,9 @@ class ShardCluster {
 
 /// The hidden worker-mode hook: when argv carries --shard-worker-fd=K,
 /// runs the worker protocol over fd K and returns its exit code;
-/// returns -1 otherwise (the caller proceeds with its normal main).
+/// returns -1 otherwise (the caller proceeds with its normal main). A
+/// K that is not a whole non-negative int prints an error and returns
+/// 2.
 /// Every binary that can act as an exec-cluster worker calls this
 /// first thing in main.
 [[nodiscard]] int maybeRunWorkerMain(int argc, char** argv);

@@ -50,7 +50,7 @@ namespace hbn::shard {
 
 inline constexpr std::uint32_t kFrameMagic = 0x48424E46;  // "HBNF"
 inline constexpr std::uint64_t kMaxFramePayload = 1ULL << 28;
-inline constexpr std::uint32_t kProtocolVersion = 2;
+inline constexpr std::uint32_t kProtocolVersion = 3;
 /// Frame header bytes (magic + type + payloadLen) and trailer bytes
 /// (checksum).
 inline constexpr std::size_t kFrameHeaderBytes = 16;
@@ -181,7 +181,6 @@ struct HelloMsg {
   std::int32_t shardCount = 1;
   std::int32_t numObjects = 0;
   std::uint64_t epochSize = 0;
-  std::int32_t threads = 1;
   std::uint8_t partitionKind = 0;  ///< Partition::Kind as u8
   std::uint64_t partitionSeed = 0;
   std::string policySpec;
@@ -283,8 +282,6 @@ struct StatsMsg {
   double busyMs = 0.0;
   std::uint8_t wantsHandoff = 0;
   std::uint8_t migratable = 0;
-  std::int64_t replications = 0;
-  std::int64_t invalidations = 0;
   std::vector<std::int64_t> serveLoads;       ///< per-edge delta
   std::vector<std::int64_t> lowerBoundDelta;  ///< per-edge delta
 

@@ -5,7 +5,8 @@
 // the coordinator (see hbn/shard/wire.h for the protocol):
 //
 //   Hello      build the full stack from the wire: parse the tree,
-//              instantiate the policy, derive the Partition.
+//              instantiate the policy, derive the Partition. A worker
+//              serves on one thread, the one that reads its transport.
 //   Epoch      serve the epoch. The frame carries only this shard's
 //              touched objects, ascending, one run each; the worker
 //              checks every run is owned, in order and inside the

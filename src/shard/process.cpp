@@ -6,8 +6,9 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
+#include <charconv>
 #include <cstring>
+#include <iostream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -179,7 +180,18 @@ int maybeRunWorkerMain(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg(argv[i]);
     if (arg.rfind(kWorkerFlag, 0) == 0) {
-      const int fd = std::atoi(arg.substr(std::strlen(kWorkerFlag)).data());
+      // The whole value must be one non-negative int: a lenient parse
+      // would run the protocol on stdin for "" or on fd 3 for "3x".
+      const std::string_view text = arg.substr(std::strlen(kWorkerFlag));
+      int fd = -1;
+      const auto [end, ec] =
+          std::from_chars(text.data(), text.data() + text.size(), fd);
+      if (ec != std::errc{} || end != text.data() + text.size() || fd < 0) {
+        std::cerr << "error: " << kWorkerFlag
+                  << " expects a non-negative file descriptor, got '"
+                  << text << "'\n";
+        return 2;
+      }
       return runWorkerProcess(fd);
     }
   }

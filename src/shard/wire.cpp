@@ -37,7 +37,6 @@ std::string HelloMsg::encode() const {
   w.i32(shardCount);
   w.i32(numObjects);
   w.u64(epochSize);
-  w.i32(threads);
   w.u8(partitionKind);
   w.u64(partitionSeed);
   w.str(policySpec);
@@ -53,7 +52,6 @@ HelloMsg HelloMsg::decode(std::string_view payload) {
   m.shardCount = r.i32();
   m.numObjects = r.i32();
   m.epochSize = r.u64();
-  m.threads = r.i32();
   m.partitionKind = r.u8();
   m.partitionSeed = r.u64();
   m.policySpec = r.str();
@@ -205,8 +203,6 @@ std::string StatsMsg::encode() const {
   w.f64(busyMs);
   w.u8(wantsHandoff);
   w.u8(migratable);
-  w.i64(replications);
-  w.i64(invalidations);
   encodeLoads(w, serveLoads);
   encodeLoads(w, lowerBoundDelta);
   return w.take();
@@ -220,8 +216,6 @@ StatsMsg StatsMsg::decode(std::string_view payload) {
   m.busyMs = r.f64();
   m.wantsHandoff = r.u8();
   m.migratable = r.u8();
-  m.replications = r.i64();
-  m.invalidations = r.i64();
   m.serveLoads = decodeLoads(r);
   m.lowerBoundDelta = decodeLoads(r);
   r.finish();

@@ -10,7 +10,6 @@
 
 #include "hbn/core/load.h"
 #include "hbn/core/lower_bound.h"
-#include "hbn/core/parallel.h"
 #include "hbn/dynamic/online_policy.h"
 #include "hbn/net/rooted.h"
 #include "hbn/net/serialize.h"
@@ -27,14 +26,10 @@ using workload::ObjectId;
 using workload::RequestEvent;
 
 /// CPU milliseconds burned by THIS thread so far. busyMs feeds the
-/// coordinator's critical-path metric (Σ max-over-shards per epoch),
-/// which models truly parallel workers; a wall clock would bill each
-/// worker for its siblings' quanta whenever workers outnumber cores
-/// and make the metric meaningless on small machines. The thread clock
-/// counts only cycles this worker spent. Exact while the shard serves
-/// on the transport thread (threads <= 1, the benchmark shape); with
-/// more threads the pool's helpers bill their own clocks and busyMs
-/// undercounts — the honest wall clock is reported alongside.
+/// coordinator's critical-path column (Σ max-over-shards per epoch); a
+/// wall clock would bill each worker for its siblings' quanta whenever
+/// workers outnumber cores. The worker serves on its transport thread
+/// alone, so the thread clock counts exactly the cycles it spent.
 double threadCpuMs() {
   timespec ts{};
   ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
@@ -53,7 +48,6 @@ class ShardWorker {
                    hello.shardCount, hello.partitionSeed, hello.numObjects),
         shardId_(hello.shardId),
         numObjects_(hello.numObjects),
-        threads_(hello.threads),
         policy_(dynamic::OnlinePolicyRegistry::global()
                     .create(hello.policySpec)
                     ->build(rooted_, hello.numObjects,
@@ -62,9 +56,7 @@ class ShardWorker {
         lowerBound_(rooted_),
         offsets_(static_cast<std::size_t>(hello.numObjects) + 1, 0),
         dirtyFlag_(static_cast<std::size_t>(hello.numObjects), 0),
-        slots_(serve::makeEpochWorkers(
-            *policy_, tree_.edgeCount(),
-            core::resolveWorkerCount(threads_, numObjects_))) {
+        slot_(policy_->flatView(), tree_.edgeCount()) {
     for (ObjectId x = 0; x < numObjects_; ++x) {
       if (partition_.ownerOf(x) == shardId_) owned_.push_back(x);
     }
@@ -153,23 +145,14 @@ class ShardWorker {
     // touched objects. Identical per-object bucketing and serving means
     // the union over shards reproduces the single-process epoch
     // exactly.
-    const int workers = static_cast<int>(slots_.size());
-    for (serve::EpochWorker& slot : slots_) slot.clear();
-    serve::forEachTouchedChunk(
-        touched_, offsets_, workers,
-        [&](std::span<const ObjectId> chunk, int worker) {
-          serve::EpochWorker& slot = slots_[static_cast<std::size_t>(worker)];
-          for (const ObjectId x : chunk) {
-            const std::size_t begin = offsets_[static_cast<std::size_t>(x)];
-            const std::size_t end = offsets_[static_cast<std::size_t>(x) + 1];
-            serve::serveAndAggregate(
-                *policy_, x,
-                std::span<const RequestEvent>(bucketed_.data() + begin,
-                                              end - begin),
-                aggregated_, lowerBound_, slot);
-          }
-        });
+    slot_.clear();
     for (const ObjectId x : touched_) {
+      const std::size_t begin = offsets_[static_cast<std::size_t>(x)];
+      const std::size_t end = offsets_[static_cast<std::size_t>(x) + 1];
+      serve::serveAndAggregate(
+          *policy_, x,
+          std::span<const RequestEvent>(bucketed_.data() + begin, end - begin),
+          aggregated_, lowerBound_, slot_);
       std::uint8_t& flag = dirtyFlag_[static_cast<std::size_t>(x)];
       if (flag == 0) {
         flag = 1;
@@ -177,31 +160,20 @@ class ShardWorker {
       }
     }
 
-    const std::size_t edges = static_cast<std::size_t>(tree_.edgeCount());
     StatsMsg stats;
     stats.epoch = epoch_;
-    stats.serveLoads.assign(edges, 0);
-    stats.lowerBoundDelta.assign(edges, 0);
-    for (const serve::EpochWorker& slot : slots_) {
-      const std::span<const core::Count> serveLoads =
-          slot.serveLoads.edgeLoads();
-      const std::span<const core::Count> lowerBound =
-          slot.lowerBound.edgeLoads();
-      for (std::size_t e = 0; e < edges; ++e) {
-        stats.serveLoads[e] += serveLoads[e];
-        stats.lowerBoundDelta[e] += lowerBound[e];
-      }
-      replications_ += slot.stats.replications;
-      invalidations_ += slot.stats.invalidations;
-      stats.requests += slot.served;
-    }
+    stats.requests = slot_.served;
+    stats.serveLoads.assign(slot_.serveLoads.edgeLoads().begin(),
+                            slot_.serveLoads.edgeLoads().end());
+    stats.lowerBoundDelta.assign(slot_.lowerBound.edgeLoads().begin(),
+                                 slot_.lowerBound.edgeLoads().end());
+    replications_ += slot_.stats.replications;
+    invalidations_ += slot_.stats.invalidations;
     servedRequests_ += stats.requests;
     stats.busyMs = threadCpuMs() - busyStart;
     stats.wantsHandoff =
         policy_->migratable() && policy_->wantsHandoff() ? 1 : 0;
     stats.migratable = policy_->migratable() ? 1 : 0;
-    stats.replications = static_cast<std::int64_t>(replications_);
-    stats.invalidations = static_cast<std::int64_t>(invalidations_);
     totalBusyMs_ += stats.busyMs;
     transport_.send(FrameType::kStats, stats.encode());
 
@@ -286,35 +258,24 @@ class ShardWorker {
     double busyMs = 0.0;
     gatherRows(busyMs);
     const double busyStart = threadCpuMs();
-    const int workers = static_cast<int>(slots_.size());
     const std::shared_ptr<const workload::Workload> snapshot(
         std::shared_ptr<const workload::Workload>(), &aggregated_);
     std::unique_ptr<dynamic::HandoffPass> pass = [&] {
       try {
-        return policy_->beginHandoff(snapshot, workers);
+        return policy_->beginHandoff(snapshot, 1);
       } catch (const std::exception& e) {
         throw serve::Error(serve::Stage::Handoff, epoch_, e.what());
       }
     }();
-    for (serve::EpochWorker& slot : slots_) slot.migration.clear();
-    core::parallelForChunks(
-        owned_, workers, 1, [](ObjectId) { return 0; },
-        [&](std::span<const ObjectId> chunk, int worker) {
-          serve::EpochWorker& slot = slots_[static_cast<std::size_t>(worker)];
-          for (const ObjectId x : chunk) {
-            const std::vector<net::NodeId> target = pass->target(x, worker);
-            dynamic::applyHandoffTarget(*policy_, x, target, slot.acc,
-                                        slot.migration);
-          }
-        });
-    core::LoadMap migrated(tree_.edgeCount());
-    for (const serve::EpochWorker& slot : slots_) {
-      serve::addLoads(migrated, slot.migration);
+    slot_.migration.clear();
+    for (const ObjectId x : owned_) {
+      dynamic::applyHandoffTarget(*policy_, x, pass->target(x, 0), slot_.acc,
+                                  slot_.migration);
     }
     MigrateMsg migrate;
     migrate.epoch = epoch_;
-    migrate.loads.assign(migrated.edgeLoads().begin(),
-                         migrated.edgeLoads().end());
+    migrate.loads.assign(slot_.migration.edgeLoads().begin(),
+                         slot_.migration.edgeLoads().end());
     migrate.busyMs = busyMs + threadCpuMs() - busyStart;
     totalBusyMs_ += migrate.busyMs;
     transport_.send(FrameType::kMigrate, migrate.encode());
@@ -346,7 +307,6 @@ class ShardWorker {
   Partition partition_;
   int shardId_;
   int numObjects_;
-  int threads_;
   std::unique_ptr<dynamic::OnlinePolicy> policy_;
   /// Frequency matrix: owned rows current, other rows as of the last
   /// row gather.
@@ -360,7 +320,8 @@ class ShardWorker {
   /// Owned objects touched since the last row gather.
   std::vector<ObjectId> dirty_;
   std::vector<std::uint8_t> dirtyFlag_;
-  std::vector<serve::EpochWorker> slots_;
+  /// The epoch body's accumulators; the worker serves on one thread.
+  serve::EpochWorker slot_;
   std::uint64_t epoch_ = 0;
   std::uint64_t servedRequests_ = 0;
   core::Count replications_ = 0;

@@ -4,7 +4,8 @@
 // all-gather included), socket-transport
 // equivalence via exec'd worker processes, scripted-peer protocol
 // violations on both sides, cross-wire error propagation with stage
-// attribution, the peer watchdog, and coordinator option validation.
+// attribution, the peer watchdog, coordinator option validation, and
+// the worker-mode flag parse.
 //
 // The exec'd workers re-run this binary, so it has its own main.
 #include <cstdint>
@@ -262,45 +263,75 @@ TEST(ShardServing, JoinReportsFailedWorkerProcess) {
   }
 }
 
-/// A scripted fake worker that completes the handshake and reports a
-/// request count one off from the events it was sent.
-void miscountingWorker(std::shared_ptr<FramedTransport> link,
-                       int edgeCount) {
+/// What a scripted worker gets wrong after an honest handshake.
+enum class Lie { StatsCount, RowsEpoch, MigrateEpoch };
+
+/// A scripted fake worker: completes the handshake, receives the first
+/// epoch (epoch 0) and asks for a handoff, then lies as `lie` says — a
+/// request count one off, or a Rows or Migrate leg stamped epoch 1.
+void lyingWorker(std::shared_ptr<FramedTransport> link, int edgeCount,
+                 Lie lie) {
   try {
     (void)link->recv();  // Hello
     link->send(FrameType::kHelloAck, {});
-    const Frame epoch = link->recv();
+    const EpochMsg epoch = EpochMsg::decode(link->recv().payload);
     StatsMsg stats;
-    stats.requests = EpochMsg::decode(epoch.payload).events.size() + 1;
+    stats.epoch = epoch.epoch;
+    stats.requests = epoch.events.size() + (lie == Lie::StatsCount ? 1 : 0);
+    stats.wantsHandoff = 1;
+    stats.migratable = 1;
     stats.serveLoads.assign(static_cast<std::size_t>(edgeCount), 0);
     stats.lowerBoundDelta.assign(static_cast<std::size_t>(edgeCount), 0);
     link->send(FrameType::kStats, stats.encode());
+    if (lie != Lie::StatsCount) {
+      (void)link->recv();  // Decide: replace
+      link->send(FrameType::kRows,
+                 encodeRowFrames(epoch.epoch + (lie == Lie::RowsEpoch ? 1 : 0),
+                                 {})
+                     .front());
+      (void)link->recv();  // the gathered rows
+      MigrateMsg migrate;
+      migrate.epoch = epoch.epoch + 1;
+      migrate.loads.assign(static_cast<std::size_t>(edgeCount), 0);
+      link->send(FrameType::kMigrate, migrate.encode());
+    }
     (void)link->recv();  // blocks until the coordinator gives up
   } catch (...) {
   }
 }
 
-TEST(ShardServing, WrongStatsRequestCountIsServeErrorNamingShard) {
+TEST(ShardServing, LyingWorkerIsErrorNamingShard) {
   const net::Tree tree = testTree();
   const std::vector<workload::RequestEvent> events = makeEvents(tree);
-  auto [coordEnd, workerEnd] = makeLoopbackPair();
-  FramedTransport link(std::move(coordEnd));
-  std::thread worker(miscountingWorker,
-                     std::make_shared<FramedTransport>(std::move(workerEnd)),
-                     tree.edgeCount());
-  serve::VectorStream stream(events);
-  ShardCoordinator coordinator(tree, kObjects, baseOptions("tree-counters"),
-                               {&link}, "test");
-  try {
-    (void)coordinator.serve(stream);
-    FAIL() << "expected serve::Error";
-  } catch (const serve::Error& e) {
-    EXPECT_EQ(e.stage(), serve::Stage::Serve);
-    EXPECT_NE(e.cause().find("shard 0"), std::string::npos) << e.cause();
-    EXPECT_NE(e.cause().find("requests sent"), std::string::npos)
-        << e.cause();
+  struct Case {
+    Lie lie;
+    serve::Stage stage;
+    std::string cause;
+  };
+  const Case cases[] = {
+      {Lie::StatsCount, serve::Stage::Serve, "requests sent"},
+      {Lie::RowsEpoch, serve::Stage::Frame, "rows for epoch 1"},
+      {Lie::MigrateEpoch, serve::Stage::Frame, "migrate for epoch 1"},
+  };
+  for (const Case& c : cases) {
+    auto [coordEnd, workerEnd] = makeLoopbackPair();
+    FramedTransport link(std::move(coordEnd));
+    std::thread worker(
+        lyingWorker, std::make_shared<FramedTransport>(std::move(workerEnd)),
+        tree.edgeCount(), c.lie);
+    serve::VectorStream stream(events);
+    ShardCoordinator coordinator(tree, kObjects, baseOptions("tree-counters"),
+                                 {&link}, "test");
+    try {
+      (void)coordinator.serve(stream);
+      ADD_FAILURE() << "expected serve::Error for " << c.cause;
+    } catch (const serve::Error& e) {
+      EXPECT_EQ(e.stage(), c.stage) << e.cause();
+      EXPECT_NE(e.cause().find("shard 0"), std::string::npos) << e.cause();
+      EXPECT_NE(e.cause().find(c.cause), std::string::npos) << e.cause();
+    }
+    worker.join();
   }
-  worker.join();
 }
 
 /// Runs the real worker as shard 0 of 2 (hash partition) behind a
@@ -404,6 +435,16 @@ TEST(ShardServing, CoordinatorValidatesOptions) {
                                 "test"),
                std::invalid_argument);
 
+  // Workers serve on one thread; 0 (all cores) is not 1 either.
+  for (const int threads : {2, 0}) {
+    ShardOptions threaded = baseOptions("tree-counters");
+    threaded.serve.threads = threads;
+    EXPECT_THROW(ShardCoordinator(tree, kObjects, threaded, cluster->links(),
+                                  "test"),
+                 std::invalid_argument)
+        << threads;
+  }
+
   cluster->kill();
 }
 
@@ -422,7 +463,8 @@ TEST(ShardServing, ServeIsOneShot) {
 
 // The aggregate report must be internally consistent: per-shard
 // requests sum to the total, cross-shard bytes match the per-shard
-// byte counters, and every shard reports busy time.
+// byte counters, every shard reports busy time, and the fields shared
+// with the single-process report agree with the epoch log.
 TEST(ShardServing, ReportBreakdownIsConsistent) {
   const net::Tree tree = testTree();
   const std::vector<workload::RequestEvent> events = makeEvents(tree);
@@ -449,6 +491,25 @@ TEST(ShardServing, ReportBreakdownIsConsistent) {
   EXPECT_EQ(byteSum, report.crossShardBytes);
   EXPECT_GT(report.criticalPathMs, 0.0);
   EXPECT_EQ(report.epochs, coordinator.epochLog().size());
+  std::uint64_t loggedRequests = 0;
+  std::uint64_t degraded = 0;
+  for (const serve::EpochRecord& record : coordinator.epochLog()) {
+    loggedRequests += record.requests;
+    if (record.degraded) ++degraded;
+  }
+  EXPECT_EQ(report.totalRequests, loggedRequests);
+  EXPECT_EQ(report.degradedEpochs, degraded);
+}
+
+// A --shard-worker-fd value that is not a whole non-negative int is a
+// usage error (exit 2), not a worker on stdin ("") or on fd 3 ("3x").
+TEST(ShardServing, MalformedWorkerFdIsUsageError) {
+  for (const std::string value : {"", "abc", "-1", "3x"}) {
+    std::string arg = "--shard-worker-fd=" + value;
+    char program[] = "shard_serving_test";
+    char* argv[] = {program, arg.data(), nullptr};
+    EXPECT_EQ(maybeRunWorkerMain(2, argv), 2) << arg;
+  }
 }
 
 }  // namespace

@@ -261,8 +261,9 @@ void printUsage(std::ostream& os) {
         "                    serve through the coordinator/worker protocol\n"
         "                    (docs/sharding.md); 0 = single-process engine\n"
         "                    (default). Bit-identical loads and ratio for\n"
-        "                    any N. Incompatible with --checkpoint-dir,\n"
-        "                    --restore and --inject.\n"
+        "                    any N. Each worker serves on one thread, so\n"
+        "                    --threads must stay 1. Incompatible with\n"
+        "                    --checkpoint-dir, --restore and --inject.\n"
         "  --transport T     worker transport: loopback (in-process\n"
         "                    threads) | socket (fork+exec'd processes over\n"
         "                    Unix sockets); default loopback\n"
@@ -287,6 +288,176 @@ std::string readFile(const std::string& path) {
   std::ostringstream oss;
   oss << in.rdbuf();
   return oss.str();
+}
+
+/// Prints a finished run's epoch table and text summary and, with
+/// --json, writes its epoch and summary records. `sharded` is `report`
+/// itself for a sharded run (null otherwise), which adds the shard
+/// table, the traffic line and the sharded summary keys.
+void printReport(const ServeCli& cli, const hbn::serve::ServeOptions& options,
+                 std::uint64_t seed, const hbn::serve::ServeReport& report,
+                 const std::vector<hbn::serve::EpochRecord>& log,
+                 const hbn::shard::ShardedReport* sharded) {
+  using namespace hbn;
+  util::Table epochs({"epoch", "requests", "ms", "congestion", "lower bound",
+                      "ratio", "re-placed", "degraded", "ckpt"});
+  // The log can run to thousands of epochs; print the first and last
+  // few, eliding the middle.
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    if (log.size() > 12 && i == 6) {
+      epochs.addRow(
+          {"...", "...", "...", "...", "...", "...", "...", "...", "..."});
+    }
+    if (log.size() > 12 && i >= 6 && i + 6 < log.size()) continue;
+    const serve::EpochRecord& r = log[i];
+    epochs.addRow({std::to_string(r.index), std::to_string(r.requests),
+                   util::formatDouble(r.wallMs, 1),
+                   util::formatDouble(r.congestion, 1),
+                   util::formatDouble(r.lowerBound, 1),
+                   util::formatDouble(r.ratio, 2), r.replaced ? "yes" : "",
+                   r.degraded ? "yes" : "", r.checkpointed ? "yes" : ""});
+  }
+  epochs.print(std::cout);
+
+  if (sharded != nullptr) {
+    util::Table shardsTable({"shard", "requests", "busy ms", "replications",
+                             "invalidations", "bytes in", "bytes out"});
+    for (const shard::ShardBreakdown& b : sharded->shards) {
+      shardsTable.addRow(
+          {std::to_string(b.shard), std::to_string(b.requests),
+           util::formatDouble(b.busyMs, 1), std::to_string(b.replications),
+           std::to_string(b.invalidations), std::to_string(b.bytesToWorker),
+           std::to_string(b.bytesFromWorker)});
+    }
+    std::cout << "\n";
+    shardsTable.print(std::cout);
+  }
+
+  std::cout << "\nserved " << report.totalRequests << " requests in "
+            << report.epochs << " epochs, "
+            << util::formatDouble(report.wallMs, 1) << " ms ("
+            << util::formatDouble(report.requestsPerSec / 1e6, 2)
+            << " M req/s)\n"
+            << "epoch latency p50/p99/p999: "
+            << util::formatDouble(report.epochMsP50, 2) << " / "
+            << util::formatDouble(report.epochMsP99, 2) << " / "
+            << util::formatDouble(report.epochMsP999, 2) << " ms\n"
+            << "request latency p50/p99/p999: "
+            << util::formatDouble(report.latencyMsP50, 2) << " / "
+            << util::formatDouble(report.latencyMsP99, 2) << " / "
+            << util::formatDouble(report.latencyMsP999, 2) << " ms ("
+            << report.latencySamples << " sampled)\n"
+            << "congestion " << util::formatDouble(report.congestion, 1)
+            << " vs offline lower bound "
+            << util::formatDouble(report.lowerBound, 1) << " — ratio "
+            << util::formatDouble(report.ratio, 2) << "\n"
+            << report.replacements << " re-placements, "
+            << report.replications << " replications, "
+            << report.invalidations << " invalidations\n"
+            << report.checkpoints << " checkpoints, " << report.degradedEpochs
+            << " degraded epochs, " << report.handoffRetries
+            << " handoff retries\n";
+  if (options.faults && options.faults->triggered() > 0) {
+    std::cout << options.faults->triggered() << " faults injected\n";
+  }
+  if (sharded != nullptr) {
+    std::cout << "cross-shard traffic " << sharded->crossShardBytes
+              << " bytes (" << util::formatDouble(sharded->bytesPerRequest, 1)
+              << " bytes/request), critical path "
+              << util::formatDouble(sharded->criticalPathMs, 1) << " ms\n";
+  }
+
+  if (cli.jsonOut.empty()) return;
+  // Ratio fields may be +inf (positive congestion against a zero lower
+  // bound); JsonRecords emits non-finite doubles as null and parses null
+  // back to NaN, so emit→parse→emit of such records is a fixed point
+  // (pinned by tests/serve_test.cpp).
+  util::JsonRecords records;
+  for (const serve::EpochRecord& r : log) {
+    records.beginRecord();
+    records.field("kind", "epoch");
+    records.field("epoch", static_cast<std::int64_t>(r.index));
+    records.field("requests", static_cast<std::int64_t>(r.requests));
+    records.field("wall_ms", r.wallMs);
+    records.field("congestion", r.congestion);
+    records.field("lower_bound", r.lowerBound);
+    records.field("ratio", r.ratio);
+    records.field("latency_ms_p50", r.latencyMsP50);
+    records.field("latency_ms_p99", r.latencyMsP99);
+    records.field("latency_ms_p999", r.latencyMsP999);
+    records.field("replaced", r.replaced);
+    records.field("degraded", r.degraded);
+    records.field("checkpointed", r.checkpointed);
+  }
+  if (sharded != nullptr) {
+    for (const shard::ShardBreakdown& b : sharded->shards) {
+      records.beginRecord();
+      records.field("kind", "shard");
+      records.field("shard", static_cast<std::int64_t>(b.shard));
+      records.field("requests", static_cast<std::int64_t>(b.requests));
+      records.field("busy_ms", b.busyMs);
+      records.field("replications",
+                    static_cast<std::int64_t>(b.replications));
+      records.field("invalidations",
+                    static_cast<std::int64_t>(b.invalidations));
+      records.field("bytes_to_worker",
+                    static_cast<std::int64_t>(b.bytesToWorker));
+      records.field("bytes_from_worker",
+                    static_cast<std::int64_t>(b.bytesFromWorker));
+      for (const auto& [key, value] : b.policyMetrics) {
+        records.field(key, value);
+      }
+    }
+  }
+  records.beginRecord();
+  records.field("kind", "summary");
+  records.field("policy", report.policy);
+  records.field("pipeline", report.pipeline);
+  records.field("latency_sample",
+                static_cast<std::int64_t>(cli.latencySample));
+  records.field("requests", static_cast<std::int64_t>(report.totalRequests));
+  records.field("epochs", static_cast<std::int64_t>(report.epochs));
+  records.field("wall_ms", report.wallMs);
+  records.field("requests_per_sec", report.requestsPerSec);
+  records.field("epoch_ms_p50", report.epochMsP50);
+  records.field("epoch_ms_p99", report.epochMsP99);
+  records.field("epoch_ms_p999", report.epochMsP999);
+  records.field("latency_ms_p50", report.latencyMsP50);
+  records.field("latency_ms_p99", report.latencyMsP99);
+  records.field("latency_ms_p999", report.latencyMsP999);
+  records.field("latency_samples",
+                static_cast<std::int64_t>(report.latencySamples));
+  records.field("congestion", report.congestion);
+  records.field("lower_bound", report.lowerBound);
+  records.field("ratio", report.ratio);
+  records.field("replacements",
+                static_cast<std::int64_t>(report.replacements));
+  records.field("replications",
+                static_cast<std::int64_t>(report.replications));
+  records.field("invalidations",
+                static_cast<std::int64_t>(report.invalidations));
+  records.field("degraded_epochs",
+                static_cast<std::int64_t>(report.degradedEpochs));
+  records.field("handoff_retries",
+                static_cast<std::int64_t>(report.handoffRetries));
+  records.field("checkpoints", static_cast<std::int64_t>(report.checkpoints));
+  records.field("seed", static_cast<std::int64_t>(seed));
+  records.field("threads", options.threads);
+  if (sharded != nullptr) {
+    records.field("transport", sharded->transport);
+    records.field("partition", sharded->partition);
+    records.field("workers", static_cast<std::int64_t>(sharded->workers));
+    records.field("critical_path_ms", sharded->criticalPathMs);
+    records.field("cross_shard_bytes",
+                  static_cast<std::int64_t>(sharded->crossShardBytes));
+    records.field("bytes_per_request", sharded->bytesPerRequest);
+  }
+  // The policy's own diagnostics, keys already "policy."-prefixed.
+  for (const auto& [key, value] : report.policyMetrics) {
+    records.field(key, value);
+  }
+  records.writeFile(cli.jsonOut);
+  std::cout << "wrote " << cli.jsonOut << "\n";
 }
 
 }  // namespace
@@ -422,128 +593,8 @@ int main(int argc, char** argv) {
 
       const shard::ShardedReport report = coordinator.serve(*stream);
       cluster->join();
-
-      util::Table epochs({"epoch", "requests", "ms", "congestion",
-                          "lower bound", "ratio", "re-placed", "degraded"});
-      const std::size_t logSize = coordinator.epochLog().size();
-      for (std::size_t i = 0; i < logSize; ++i) {
-        if (logSize > 12 && i == 6) {
-          epochs.addRow(
-              {"...", "...", "...", "...", "...", "...", "...", "..."});
-        }
-        if (logSize > 12 && i >= 6 && i + 6 < logSize) continue;
-        const serve::EpochRecord& r = coordinator.epochLog()[i];
-        epochs.addRow({std::to_string(r.index), std::to_string(r.requests),
-                       util::formatDouble(r.wallMs, 1),
-                       util::formatDouble(r.congestion, 1),
-                       util::formatDouble(r.lowerBound, 1),
-                       util::formatDouble(r.ratio, 2),
-                       r.replaced ? "yes" : "", r.degraded ? "yes" : ""});
-      }
-      epochs.print(std::cout);
-
-      util::Table shardsTable({"shard", "requests", "busy ms",
-                               "replications", "invalidations", "bytes in",
-                               "bytes out"});
-      for (const shard::ShardBreakdown& b : report.shards) {
-        shardsTable.addRow(
-            {std::to_string(b.shard), std::to_string(b.requests),
-             util::formatDouble(b.busyMs, 1), std::to_string(b.replications),
-             std::to_string(b.invalidations),
-             std::to_string(b.bytesToWorker),
-             std::to_string(b.bytesFromWorker)});
-      }
-      std::cout << "\n";
-      shardsTable.print(std::cout);
-
-      std::cout << "\nserved " << report.totalRequests << " requests in "
-                << report.epochs << " epochs, "
-                << util::formatDouble(report.wallMs, 1) << " ms ("
-                << util::formatDouble(report.requestsPerSec / 1e6, 2)
-                << " M req/s wall, "
-                << util::formatDouble(report.requestsPerSecCritical / 1e6, 2)
-                << " M req/s critical-path)\n"
-                << "epoch latency p50/p99/p999: "
-                << util::formatDouble(report.epochMsP50, 2) << " / "
-                << util::formatDouble(report.epochMsP99, 2) << " / "
-                << util::formatDouble(report.epochMsP999, 2) << " ms\n"
-                << "congestion " << util::formatDouble(report.congestion, 1)
-                << " vs offline lower bound "
-                << util::formatDouble(report.lowerBound, 1) << " — ratio "
-                << util::formatDouble(report.ratio, 2) << "\n"
-                << report.replacements << " re-placements, "
-                << report.replications << " replications, "
-                << report.invalidations << " invalidations\n"
-                << "cross-shard traffic " << report.crossShardBytes
-                << " bytes ("
-                << util::formatDouble(report.bytesPerRequest, 1)
-                << " bytes/request)\n";
-
-      if (!cli.jsonOut.empty()) {
-        util::JsonRecords records;
-        for (const serve::EpochRecord& r : coordinator.epochLog()) {
-          records.beginRecord();
-          records.field("kind", "epoch");
-          records.field("epoch", static_cast<std::int64_t>(r.index));
-          records.field("requests", static_cast<std::int64_t>(r.requests));
-          records.field("wall_ms", r.wallMs);
-          records.field("congestion", r.congestion);
-          records.field("lower_bound", r.lowerBound);
-          records.field("ratio", r.ratio);
-          records.field("replaced", r.replaced);
-          records.field("degraded", r.degraded);
-        }
-        for (const shard::ShardBreakdown& b : report.shards) {
-          records.beginRecord();
-          records.field("kind", "shard");
-          records.field("shard", static_cast<std::int64_t>(b.shard));
-          records.field("requests", static_cast<std::int64_t>(b.requests));
-          records.field("busy_ms", b.busyMs);
-          records.field("replications",
-                        static_cast<std::int64_t>(b.replications));
-          records.field("invalidations",
-                        static_cast<std::int64_t>(b.invalidations));
-          records.field("bytes_to_worker",
-                        static_cast<std::int64_t>(b.bytesToWorker));
-          records.field("bytes_from_worker",
-                        static_cast<std::int64_t>(b.bytesFromWorker));
-          for (const auto& [key, value] : b.policyMetrics) {
-            records.field(key, value);
-          }
-        }
-        records.beginRecord();
-        records.field("kind", "summary");
-        records.field("policy", report.policy);
-        records.field("transport", report.transport);
-        records.field("partition", report.partition);
-        records.field("workers", static_cast<std::int64_t>(report.workers));
-        records.field("requests",
-                      static_cast<std::int64_t>(report.totalRequests));
-        records.field("epochs", static_cast<std::int64_t>(report.epochs));
-        records.field("wall_ms", report.wallMs);
-        records.field("requests_per_sec", report.requestsPerSec);
-        records.field("critical_path_ms", report.criticalPathMs);
-        records.field("requests_per_sec_critical",
-                      report.requestsPerSecCritical);
-        records.field("epoch_ms_p50", report.epochMsP50);
-        records.field("epoch_ms_p99", report.epochMsP99);
-        records.field("epoch_ms_p999", report.epochMsP999);
-        records.field("congestion", report.congestion);
-        records.field("lower_bound", report.lowerBound);
-        records.field("ratio", report.ratio);
-        records.field("replacements",
-                      static_cast<std::int64_t>(report.replacements));
-        records.field("replications",
-                      static_cast<std::int64_t>(report.replications));
-        records.field("invalidations",
-                      static_cast<std::int64_t>(report.invalidations));
-        records.field("cross_shard_bytes",
-                      static_cast<std::int64_t>(report.crossShardBytes));
-        records.field("bytes_per_request", report.bytesPerRequest);
-        records.field("seed", static_cast<std::int64_t>(seed));
-        records.writeFile(cli.jsonOut);
-        std::cout << "wrote " << cli.jsonOut << "\n";
-      }
+      printReport(cli, options, seed, report, coordinator.epochLog(),
+                  &report);
       return 0;
     }
 
@@ -574,123 +625,7 @@ int main(int argc, char** argv) {
               << ", pipeline=" << (cli.pipeline ? "on" : "off") << ")\n\n";
 
     const serve::ServeReport report = server.serve(*stream);
-
-    util::Table epochs({"epoch", "requests", "ms", "congestion",
-                        "lower bound", "ratio", "re-placed", "degraded",
-                        "ckpt"});
-    // The log can run to thousands of epochs; print the first and last
-    // few, eliding the middle.
-    const std::size_t logSize = server.epochLog().size();
-    for (std::size_t i = 0; i < logSize; ++i) {
-      if (logSize > 12 && i == 6) {
-        epochs.addRow({"...", "...", "...", "...", "...", "...", "...",
-                       "...", "..."});
-      }
-      if (logSize > 12 && i >= 6 && i + 6 < logSize) continue;
-      const serve::EpochRecord& r = server.epochLog()[i];
-      epochs.addRow({std::to_string(r.index), std::to_string(r.requests),
-                     util::formatDouble(r.wallMs, 1),
-                     util::formatDouble(r.congestion, 1),
-                     util::formatDouble(r.lowerBound, 1),
-                     util::formatDouble(r.ratio, 2),
-                     r.replaced ? "yes" : "", r.degraded ? "yes" : "",
-                     r.checkpointed ? "yes" : ""});
-    }
-    epochs.print(std::cout);
-
-    std::cout << "\nserved " << report.totalRequests << " requests in "
-              << report.epochs << " epochs, "
-              << util::formatDouble(report.wallMs, 1) << " ms ("
-              << util::formatDouble(report.requestsPerSec / 1e6, 2)
-              << " M req/s)\n"
-              << "epoch latency p50/p99/p999: "
-              << util::formatDouble(report.epochMsP50, 2) << " / "
-              << util::formatDouble(report.epochMsP99, 2) << " / "
-              << util::formatDouble(report.epochMsP999, 2) << " ms\n"
-              << "request latency p50/p99/p999: "
-              << util::formatDouble(report.latencyMsP50, 2) << " / "
-              << util::formatDouble(report.latencyMsP99, 2) << " / "
-              << util::formatDouble(report.latencyMsP999, 2) << " ms ("
-              << report.latencySamples << " sampled)\n"
-              << "congestion " << util::formatDouble(report.congestion, 1)
-              << " vs offline lower bound "
-              << util::formatDouble(report.lowerBound, 1) << " — ratio "
-              << util::formatDouble(report.ratio, 2) << "\n"
-              << report.replacements << " re-placements, "
-              << report.replications << " replications, "
-              << report.invalidations << " invalidations\n"
-              << report.checkpoints << " checkpoints, "
-              << report.degradedEpochs << " degraded epochs, "
-              << report.handoffRetries << " handoff retries\n";
-    if (options.faults && options.faults->triggered() > 0) {
-      std::cout << options.faults->triggered() << " faults injected\n";
-    }
-
-    if (!cli.jsonOut.empty()) {
-      // Ratio fields may be +inf (positive congestion against a zero
-      // lower bound); JsonRecords emits non-finite doubles as null and
-      // parses null back to NaN, so emit→parse→emit of such records is
-      // a fixed point (pinned by tests/serve_test.cpp).
-      util::JsonRecords records;
-      for (const serve::EpochRecord& r : server.epochLog()) {
-        records.beginRecord();
-        records.field("kind", "epoch");
-        records.field("epoch", static_cast<std::int64_t>(r.index));
-        records.field("requests", static_cast<std::int64_t>(r.requests));
-        records.field("wall_ms", r.wallMs);
-        records.field("congestion", r.congestion);
-        records.field("lower_bound", r.lowerBound);
-        records.field("ratio", r.ratio);
-        records.field("latency_ms_p50", r.latencyMsP50);
-        records.field("latency_ms_p99", r.latencyMsP99);
-        records.field("latency_ms_p999", r.latencyMsP999);
-        records.field("replaced", r.replaced);
-        records.field("degraded", r.degraded);
-        records.field("checkpointed", r.checkpointed);
-      }
-      records.beginRecord();
-      records.field("kind", "summary");
-      records.field("policy", report.policy);
-      records.field("pipeline", report.pipeline);
-      records.field("latency_sample",
-                    static_cast<std::int64_t>(cli.latencySample));
-      records.field("requests",
-                    static_cast<std::int64_t>(report.totalRequests));
-      records.field("epochs", static_cast<std::int64_t>(report.epochs));
-      records.field("wall_ms", report.wallMs);
-      records.field("requests_per_sec", report.requestsPerSec);
-      records.field("epoch_ms_p50", report.epochMsP50);
-      records.field("epoch_ms_p99", report.epochMsP99);
-      records.field("epoch_ms_p999", report.epochMsP999);
-      records.field("latency_ms_p50", report.latencyMsP50);
-      records.field("latency_ms_p99", report.latencyMsP99);
-      records.field("latency_ms_p999", report.latencyMsP999);
-      records.field("latency_samples",
-                    static_cast<std::int64_t>(report.latencySamples));
-      records.field("congestion", report.congestion);
-      records.field("lower_bound", report.lowerBound);
-      records.field("ratio", report.ratio);
-      records.field("replacements",
-                    static_cast<std::int64_t>(report.replacements));
-      records.field("replications",
-                    static_cast<std::int64_t>(report.replications));
-      records.field("invalidations",
-                    static_cast<std::int64_t>(report.invalidations));
-      records.field("degraded_epochs",
-                    static_cast<std::int64_t>(report.degradedEpochs));
-      records.field("handoff_retries",
-                    static_cast<std::int64_t>(report.handoffRetries));
-      records.field("checkpoints",
-                    static_cast<std::int64_t>(report.checkpoints));
-      records.field("seed", static_cast<std::int64_t>(seed));
-      records.field("threads", options.threads);
-      // The policy's own diagnostics, keys already "policy."-prefixed.
-      for (const auto& [key, value] : report.policyMetrics) {
-        records.field(key, value);
-      }
-      records.writeFile(cli.jsonOut);
-      std::cout << "wrote " << cli.jsonOut << "\n";
-    }
+    printReport(cli, options, seed, report, server.epochLog(), nullptr);
     return 0;
   } catch (const serve::Error& e) {
     // Stage failures carry their own exit code (10-14, one per stage —
