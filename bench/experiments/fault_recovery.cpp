@@ -8,11 +8,7 @@
 //     restore the latest epoch-boundary snapshot into a fresh server,
 //     re-serve the remaining stream; reports the recovery wall-clock
 //     and checks the final load digest is bit-identical to the
-//     uninterrupted run,
-//   * graceful degradation — an injected ingest stall trips the
-//     pipeline watchdog, the stalled epoch is assembled inline, and
-//     throughput in degraded mode is reported; the digest again must
-//     not move by a single bit.
+//     uninterrupted run.
 #include <algorithm>
 #include <filesystem>
 #include <memory>
@@ -67,8 +63,8 @@ class FaultRecoveryExperiment final : public engine::Experiment {
 
     const net::Tree tree = net::makeClusterNetwork(4, 8);
     const net::RootedTree rooted(tree, tree.defaultRoot());
-    ctx.os() << "E15 — fault-tolerant serving: checkpoint overhead, "
-                "kill-and-restore recovery, degraded-mode throughput\nseed="
+    ctx.os() << "E15 — fault-tolerant serving: checkpoint overhead and "
+                "kill-and-restore recovery\nseed="
              << seed << ", " << requests << " requests, epoch=" << epochSize
              << ", objects=" << objects << ", threads=" << ctx.threads
              << ", kill at epoch " << killEpoch << "\n\n";
@@ -195,26 +191,6 @@ class FaultRecoveryExperiment final : public engine::Experiment {
       recoveryIdentical = digestOf(server, report) == baseline.digest;
     }
 
-    // --- Phase 3: degraded-mode throughput ------------------------------
-    serve::ServeOptions degraded = makeOptions();
-    degraded.faults =
-        util::makeFaultInjector("ingest-stall@epoch2:ms=2000");
-    degraded.stallTimeoutMs = 20.0;
-    Timed degradedRun;
-    {
-      serve::EpochServer server(rooted, objects, degraded);
-      serve::VectorStream stream({events.begin(), events.end()});
-      util::Timer timer;
-      const serve::ServeReport report = server.serve(stream);
-      degradedRun.wallMs = timer.millis();
-      reporter.addTiming(degradedRun.wallMs);
-      degradedRun.requestsPerSec = report.requestsPerSec;
-      degradedRun.digest = digestOf(server, report);
-      degradedRun.report = report;
-    }
-    const bool degradedIdentical = degradedRun.digest == baseline.digest;
-    const bool watchdogFired = degradedRun.report.degradedEpochs >= 1;
-
     util::Table table({"phase", "wall ms", "Mreq/s", "notes"});
     table.addRow({"baseline", util::formatDouble(baseline.wallMs, 1),
                   util::formatDouble(baseline.requestsPerSec / 1e6, 2), "-"});
@@ -228,10 +204,6 @@ class FaultRecoveryExperiment final : public engine::Experiment {
                       util::formatDouble(restoredFromEpoch, 0) +
                       (recoveryIdentical ? ", digest identical"
                                          : ", DIGEST DIVERGED")});
-    table.addRow({"degraded", util::formatDouble(degradedRun.wallMs, 1),
-                  util::formatDouble(degradedRun.requestsPerSec / 1e6, 2),
-                  std::to_string(degradedRun.report.degradedEpochs) +
-                      " degraded epochs"});
     table.print(ctx.os());
 
     ctx.os() << "\ncheckpoint overhead "
@@ -239,11 +211,7 @@ class FaultRecoveryExperiment final : public engine::Experiment {
              << util::formatDouble(kOverheadBoundPct, 1)
              << "%); recovery " << util::formatDouble(recoveryMs, 1)
              << " ms, digest "
-             << (recoveryIdentical ? "identical" : "DIVERGED")
-             << "; degraded-mode "
-             << util::formatDouble(degradedRun.requestsPerSec / 1e6, 2)
-             << " Mreq/s, digest "
-             << (degradedIdentical ? "identical" : "DIVERGED") << "\n";
+             << (recoveryIdentical ? "identical" : "DIVERGED") << "\n";
 
     reporter.beginRow();
     reporter.field("phase", std::string("baseline"));
@@ -262,15 +230,6 @@ class FaultRecoveryExperiment final : public engine::Experiment {
     reporter.field("restored_from_epoch", restoredFromEpoch);
     reporter.field("recovery_ms", recoveryMs);
     reporter.field("digest_identical", recoveryIdentical);
-    reporter.beginRow();
-    reporter.field("phase", std::string("degraded"));
-    reporter.field("wall_ms", degradedRun.wallMs);
-    reporter.field("requests_per_sec", degradedRun.requestsPerSec);
-    reporter.field("degraded_epochs",
-                   static_cast<std::int64_t>(
-                       degradedRun.report.degradedEpochs));
-    reporter.field("digest_identical", degradedIdentical);
-
     reporter.beginRow("check");
     reporter.field("claim",
                    "kill + restore ends bit-identical to an uninterrupted "
@@ -285,16 +244,10 @@ class FaultRecoveryExperiment final : public engine::Experiment {
                    "throughput");
     reporter.field("value", overheadPct);
     reporter.field("held", overheadPct <= kOverheadBoundPct);
-    reporter.beginRow("check");
-    reporter.field("claim",
-                   "ingest-stall watchdog degrades gracefully with an "
-                   "unchanged digest");
-    reporter.field("held", watchdogFired && degradedIdentical);
 
     fs::remove_all(dir);
     return killed && recoveryIdentical && checkpointNeutral &&
-           overheadPct <= kOverheadBoundPct && watchdogFired &&
-           degradedIdentical;
+           overheadPct <= kOverheadBoundPct;
   }
 
  private:
@@ -309,8 +262,8 @@ namespace detail {
 void registerFaultRecovery(engine::ExperimentRegistry& registry) {
   registry.add(
       {"fault-recovery",
-       "fault-tolerant serving: checkpoint overhead, kill-and-restore "
-       "digest identity, degraded-mode throughput",
+       "fault-tolerant serving: checkpoint overhead and kill-and-restore "
+       "digest identity",
        "E15 / robustness extension (checkpoint/restore + fault injection)",
        "requests=N,epoch=N,objects=N"},
       [](engine::StrategyOptions& options) {

@@ -134,11 +134,9 @@ std::string renderPayload(const CheckpointData& data) {
   appendInt(os, static_cast<std::int64_t>(data.invalidations));
   os += ' ';
   appendInt(os, data.passesBegun);
-  os += "\nstats ";
-  appendInt(os, data.degradedEpochs);
-  os += ' ';
-  appendInt(os, data.handoffRetries);
-  os += ' ';
+  // The two leading stats slots are retired counters (degraded epochs,
+  // handoff retries), written as 0 so the format stays v1.
+  os += "\nstats 0 0 ";
   appendInt(os, data.checkpointsWritten);
   // Raw bit patterns: the doubles round-trip bit for bit, which the
   // drift trigger's growth deltas need for digest identity.
@@ -211,8 +209,10 @@ CheckpointData readCheckpoint(std::istream& in) {
       word != "progress") {
     parseFail("bad progress line");
   }
-  if (!(is >> word >> data.degradedEpochs >> data.handoffRetries >>
-        data.checkpointsWritten) ||
+  // Older writers may have put nonzero counts in the two retired slots;
+  // they are parsed and discarded.
+  std::uint64_t retired[2] = {0, 0};
+  if (!(is >> word >> retired[0] >> retired[1] >> data.checkpointsWritten) ||
       word != "stats") {
     parseFail("bad stats line");
   }

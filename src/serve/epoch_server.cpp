@@ -4,7 +4,6 @@
 #include <span>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "hbn/core/lower_bound.h"
@@ -47,9 +46,6 @@ EpochServer::EpochServer(const net::RootedTree& rooted, int numObjects,
   if (!options.checkpointDir.empty() && options.checkpointEvery < 1) {
     throw std::invalid_argument("EpochServer: checkpointEvery >= 1");
   }
-  if (options.handoffRetries < 0) {
-    throw std::invalid_argument("EpochServer: handoffRetries >= 0");
-  }
 }
 
 void finishReport(ServeReport& report, double wallMs,
@@ -78,8 +74,7 @@ ServeReport EpochServer::serve(RequestStream& stream) {
   // identical and pipeline on/off runs are comparable request for
   // request.
   EpochIngest ingest(stream, tree, numObjects_, options_.epochSize,
-                     options_.pipeline, options_.faults.get(),
-                     logBase_ + log_.size());
+                     options_.pipeline, logBase_ + log_.size());
   util::FaultInjector* const faults = options_.faults.get();
 
   // Per-worker loads, counters, scratch and lower-bound deltas for the
@@ -101,16 +96,11 @@ ServeReport EpochServer::serve(RequestStream& stream) {
   util::Timer total;
 
   for (;;) {
-    // The watchdogged acquire: past stallTimeoutMs the serve thread
-    // assembles the epoch inline itself (degraded = true) instead of
-    // hanging on a stalled ingest thread.
-    const AcquireResult acquired = ingest.acquireFor(options_.stallTimeoutMs);
-    EpochBatch* const batch = acquired.batch;
+    EpochBatch* const batch = ingest.acquire();
     if (batch == nullptr) break;
     util::Timer epochTimer;
     const std::size_t n = batch->n;
     const std::uint64_t epochIndex = logBase_ + log_.size();
-    if (acquired.degraded) ++degradedEpochs_;
 
     // Stage 2: the epoch's touched objects, split into request-weighted
     // chunks over the worker pool. Per object, a worker first applies
@@ -175,7 +165,6 @@ ServeReport EpochServer::serve(RequestStream& stream) {
     EpochRecord record;
     record.index = epochIndex;
     record.requests = n;
-    record.degraded = acquired.degraded;
     record.lowerBound = lowerBound_.congestion();
     record.congestion = loads_.congestion(tree);
     // Drift is measured since the last re-placement (see
@@ -288,8 +277,6 @@ ServeReport EpochServer::serve(RequestStream& stream) {
   report.replacements = replacements_;
   report.replications = replications_;
   report.invalidations = invalidations_;
-  report.degradedEpochs = degradedEpochs_;
-  report.handoffRetries = handoffRetriesUsed_;
   report.checkpoints = checkpointsWritten_;
   report.policyMetrics = policy_->metrics();
   return report;
@@ -306,30 +293,19 @@ void EpochServer::beginPass(int workers, std::uint64_t epoch) {
   // HandoffPass contract) — other workers are writing those rows.
   const std::shared_ptr<const workload::Workload> snapshot(
       std::shared_ptr<const workload::Workload>(), &aggregated_);
-  std::unique_ptr<dynamic::HandoffPass> pass;
-  // Bounded retry with escalating backoff. The injected fault fires
-  // BEFORE beginHandoff, so a retried attempt re-runs the publication
-  // from a policy that never saw the failed one — retries are
-  // side-effect-clean by construction.
+  // One attempt: beginHandoff is deterministic over the aggregated
+  // matrix, so retrying a real failure would only repeat it.
   util::FaultInjector* const faults = options_.faults.get();
-  for (int attempt = 0;; ++attempt) {
-    try {
-      if (faults != nullptr &&
-          faults->fire(util::FaultKind::HandoffFail, epoch, -1)) {
-        throw std::runtime_error("injected handoff publication failure");
-      }
-      pass = policy_->beginHandoff(snapshot, workers);
-      break;
-    } catch (const std::exception& e) {
-      if (attempt >= options_.handoffRetries) {
-        throw Error(Stage::Handoff, epoch, e.what());
-      }
-      ++handoffRetriesUsed_;
-      if (options_.handoffBackoffMs > 0.0) {
-        std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-            options_.handoffBackoffMs * (attempt + 1)));
-      }
-    }
+  if (faults != nullptr &&
+      faults->fire(util::FaultKind::HandoffFail, epoch, -1)) {
+    throw Error(Stage::Handoff, epoch,
+                "injected handoff publication failure");
+  }
+  std::unique_ptr<dynamic::HandoffPass> pass;
+  try {
+    pass = policy_->beginHandoff(snapshot, workers);
+  } catch (const std::exception& e) {
+    throw Error(Stage::Handoff, epoch, e.what());
   }
   ++passesBegun_;
   pendingPasses_.emplace_back().pass = std::move(pass);
@@ -402,8 +378,6 @@ CheckpointData EpochServer::snapshotStateAt(std::uint64_t epochs) const {
   data.replications = replications_;
   data.invalidations = invalidations_;
   data.passesBegun = passesBegun_;
-  data.degradedEpochs = degradedEpochs_;
-  data.handoffRetries = handoffRetriesUsed_;
   data.checkpointsWritten = checkpointsWritten_;
   data.serveCongestionMark = drift_.serveCongestionMark;
   data.lowerBoundMark = drift_.lowerBoundMark;
@@ -461,8 +435,6 @@ void EpochServer::restoreFrom(const CheckpointData& data) {
   invalidations_ = data.invalidations;
   passesBegun_ = data.passesBegun;
   std::fill(appliedVersion_.begin(), appliedVersion_.end(), passesBegun_);
-  degradedEpochs_ = data.degradedEpochs;
-  handoffRetriesUsed_ = data.handoffRetries;
   checkpointsWritten_ = data.checkpointsWritten;
   drift_.serveCongestionMark = data.serveCongestionMark;
   drift_.lowerBoundMark = data.lowerBoundMark;

@@ -27,7 +27,9 @@
 //   dims <numObjects> <numNodes> <numEdges>
 //   progress <servedTotal> <epochs> <replacements> <replications>
 //            <invalidations> <passesBegun>
-//   stats <degradedEpochs> <handoffRetries> <checkpointsWritten>
+//   stats 0 0 <checkpointsWritten>                   (two retired
+//                                                     slots, read and
+//                                                     discarded)
 //   marks <serveCongestionMark> <lowerBoundMark>     (raw 64-bit patterns
 //                                                     in hex: doubles
 //                                                     round-trip exactly)
@@ -65,8 +67,6 @@ struct CheckpointData {
   core::Count replications = 0;
   core::Count invalidations = 0;
   std::uint64_t passesBegun = 0;
-  std::uint64_t degradedEpochs = 0;
-  std::uint64_t handoffRetries = 0;
   std::uint64_t checkpointsWritten = 0;
   double serveCongestionMark = 0.0;
   double lowerBoundMark = 0.0;

@@ -118,21 +118,9 @@ struct ServeOptions {
   /// Epochs between checkpoints (>= 1); only read when checkpointDir is
   /// set.
   std::uint64_t checkpointEvery = 1;
-  /// Pipeline stall watchdog: when the ingest thread has not produced
-  /// an epoch within this many milliseconds, the serve thread assembles
-  /// the epoch inline (degraded mode — the barrier engine's behaviour
-  /// for that epoch) instead of hanging. <= 0 waits forever. Ignored in
-  /// barrier mode, where ingest is inline anyway.
-  double stallTimeoutMs = 0.0;
-  /// Bounded retry on handoff publication failure: how many times
-  /// beginning a §4 pass may be retried before the epoch fails with
-  /// serve::Error{Handoff}, and the base backoff between attempts
-  /// (attempt k sleeps k × handoffBackoffMs).
-  int handoffRetries = 3;
-  double handoffBackoffMs = 1.0;
   /// Deterministic fault injection (util::FaultInjector specs —
-  /// ingest-stall@epochN, shard-throw@epochN:shardM, handoff-fail@
-  /// epochN); null injects nothing. Shared so the CLI, tests and
+  /// shard-throw@epochN:shardM, handoff-fail@epochN); null injects
+  /// nothing. Shared so the CLI, tests and
   /// benchmarks can inspect trigger counts after the run.
   std::shared_ptr<util::FaultInjector> faults;
 };
@@ -162,9 +150,6 @@ struct EpochRecord {
   double latencyMsP99 = 0.0;
   double latencyMsP999 = 0.0;
   bool replaced = false;
-  /// The stall watchdog fired and the serve thread assembled this epoch
-  /// inline (barrier-engine fallback; contents still bit-identical).
-  bool degraded = false;
   /// A checkpoint was written at this epoch's boundary (after draining
   /// pending passes — congestion above therefore includes migration).
   bool checkpointed = false;
@@ -208,11 +193,11 @@ struct ServeReport {
   /// run (see EpochIngest::bufferBytes) — never proportional to the
   /// stream.
   std::uint64_t epochBufferBytes = 0;
-  /// Robustness counters (server lifetime, so they survive a restore):
-  /// epochs assembled inline by the stall watchdog, handoff publication
-  /// retries consumed, and checkpoints written.
+  /// Always 0: the engine has no degraded mode. Kept only because the
+  /// engine benchmark still reads it.
   std::uint64_t degradedEpochs = 0;
-  std::uint64_t handoffRetries = 0;
+  /// Checkpoints written over the server's lifetime (survives a
+  /// restore).
   std::uint64_t checkpoints = 0;
 };
 
@@ -289,10 +274,8 @@ class EpochServer {
   };
 
   /// Opens a HandoffPass over aggregated_ (zero-copy; see the
-  /// HandoffPass row-stability contract) and queues it. Failures
-  /// (injected or real) are retried up to ServeOptions.handoffRetries
-  /// times with escalating backoff; exhaustion throws
-  /// serve::Error{Handoff, epoch}.
+  /// HandoffPass row-stability contract) and queues it. A failure
+  /// (injected or real) throws serve::Error{Handoff, epoch}.
   void beginPass(int workers, std::uint64_t epoch);
   /// Applies every pass still pending for `x`, charging migration
   /// traffic into `migration` via `acc`. Called from workers (the
@@ -344,9 +327,6 @@ class EpochServer {
   std::deque<PassState> pendingPasses_;
   std::vector<std::uint64_t> appliedVersion_;
   std::uint64_t passesBegun_ = 0;
-  /// Robustness counters (see ServeReport).
-  std::uint64_t degradedEpochs_ = 0;
-  std::uint64_t handoffRetriesUsed_ = 0;
   std::uint64_t checkpointsWritten_ = 0;
   /// Run-level request-latency reservoir (persists across serve calls).
   util::ReservoirSampler latency_;

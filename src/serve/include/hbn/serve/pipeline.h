@@ -11,21 +11,16 @@
 // same stream (same chunked fill loop), which is what lets
 // pipeline-on/off runs be compared request for request.
 //
-// Graceful degradation: when the ingest thread stalls (injected via
-// util::FaultInjector, or a genuinely slow stream), acquireFor() lets
-// the serve thread wait only a bounded time and then fill the epoch
-// inline itself — falling back to the barrier engine for that one
-// epoch instead of hanging the pipeline. Every fill (ingest-thread,
-// inline, or degraded) runs under one fill mutex and claims the next
-// epoch number inside it, so the stream is consumed by exactly one
-// filler at a time and epochs keep their order and contents no matter
-// which thread assembled them — degraded runs stay bit-identical.
+// Exactly one filler — the ingest thread, or the caller in inline
+// mode — owns the stream and the epoch counter, so epochs keep their
+// order and contents without a fill lock. A slow stream is simply
+// waited for: acquire() blocks until the next epoch is ready.
 //
 // Failures while filling (stream errors, out-of-range requests) are
 // wrapped into serve::Error with Stage::Ingest and the epoch being
-// assembled, captured on whichever thread hit them, and rethrown from
-// acquire()/acquireFor() — the caller sees the same structured error
-// in every mode.
+// assembled, captured on the filling thread, and rethrown from
+// acquire() once the epochs before it have been handed out — the
+// caller sees the same structured error in both modes.
 //
 // Arrival stamps: each fill chunk records one steady-clock stamp, the
 // arrival time of every request in that chunk. The serve loop turns
@@ -45,7 +40,6 @@
 
 #include "hbn/net/tree.h"
 #include "hbn/serve/request_stream.h"
-#include "hbn/util/fault.h"
 
 namespace hbn::serve {
 
@@ -72,28 +66,19 @@ struct EpochBatch {
   [[nodiscard]] std::uint64_t bufferBytes() const noexcept;
 };
 
-/// What acquireFor() handed out: the batch (nullptr at end of stream)
-/// and whether the serve thread had to assemble it itself because the
-/// ingest thread was stalled past the watchdog timeout.
-struct AcquireResult {
-  EpochBatch* batch = nullptr;
-  bool degraded = false;
-};
-
 /// The double-buffered ingest stage. Single consumer (the serve
 /// thread): acquire() → serve the batch → release(). Errors raised
 /// while filling are captured on the ingest thread and rethrown from
 /// acquire(), so the caller sees the same exceptions in both modes.
 class EpochIngest {
  public:
-  /// `stream`, `tree` and `faults` must outlive the ingest. `threaded`
-  /// selects the dedicated ingest thread (two slots) versus inline
-  /// filling on the consumer thread (one slot). `faults` may be null;
-  /// `baseEpoch` is the absolute number of the first epoch this ingest
-  /// will assemble (nonzero after a checkpoint restore).
+  /// `stream` and `tree` must outlive the ingest. `threaded` selects
+  /// the dedicated ingest thread (two slots) versus inline filling on
+  /// the consumer thread (one slot). `baseEpoch` is the absolute number
+  /// of the first epoch this ingest will assemble (nonzero after a
+  /// checkpoint restore).
   EpochIngest(RequestStream& stream, const net::Tree& tree, int numObjects,
               std::size_t epochSize, bool threaded,
-              util::FaultInjector* faults = nullptr,
               std::uint64_t baseEpoch = 0);
   ~EpochIngest();
 
@@ -105,13 +90,6 @@ class EpochIngest {
   /// owned by the ingest; hand it back with release() before the next
   /// acquire().
   [[nodiscard]] EpochBatch* acquire();
-
-  /// acquire() with a stall watchdog: waits up to `timeoutMs` for the
-  /// ingest thread, then assembles the epoch inline on the calling
-  /// thread (degraded = true) — the barrier engine's behaviour for that
-  /// one epoch. `timeoutMs` <= 0 (or inline mode) means wait forever,
-  /// i.e. plain acquire().
-  [[nodiscard]] AcquireResult acquireFor(double timeoutMs);
 
   /// Returns a served batch's slot to the ingest thread for refilling.
   void release(EpochBatch* batch);
@@ -126,9 +104,9 @@ class EpochIngest {
   void sizeBatch(EpochBatch& batch) const;
   /// Chunked fill + validate + bucket of one epoch into `batch`.
   void fillBatch(EpochBatch& batch);
-  /// Claims the next epoch number and fills `batch` while holding
-  /// fillMutex_ (the single-filler token); wraps failures into
-  /// serve::Error{Ingest}. Returns false at end of stream.
+  /// Fills `batch` as the next epoch and advances the epoch counter;
+  /// wraps failures into serve::Error{Ingest}. Returns false at end of
+  /// stream. Called only by the one filler.
   bool fillNextEpoch(EpochBatch& batch);
   void ingestLoop();
   /// Signals the ingest thread to stop and joins it; safe to call more
@@ -140,32 +118,21 @@ class EpochIngest {
 
   RequestStream* stream_;
   const net::Tree* tree_;
-  util::FaultInjector* faults_;
   int numObjects_;
   std::size_t epochSize_;
   bool threaded_;
 
   std::array<EpochBatch, 2> slots_;
   std::array<SlotState, 2> state_{SlotState::Free, SlotState::Free};
-  /// Spare batch the serve thread fills inline when the watchdog fires;
-  /// sized lazily on first degradation so healthy runs never pay for it.
-  EpochBatch degraded_;
-  std::size_t fillIndex_ = 0;   ///< next slot the ingest thread fills
   std::size_t serveIndex_ = 0;  ///< next slot acquire() hands out
-  /// Absolute number of the next epoch any filler will assemble;
-  /// guarded by mutex_, advanced inside fillNextEpoch.
+  /// Absolute number of the next epoch to assemble; owned by the filler.
   std::uint64_t nextEpoch_ = 0;
   bool exhausted_ = false;
   bool stopping_ = false;
   std::exception_ptr error_;
   std::mutex mutex_;
-  /// Single-filler token: held across every stream fill (ingest thread
-  /// and degraded inline fills alike), so the stream sees one orderly
-  /// consumer. Never acquired while holding mutex_.
-  std::mutex fillMutex_;
-  std::condition_variable readyCv_;  ///< signalled when a slot turns Ready
-  std::condition_variable freeCv_;   ///< signalled when a slot turns Free,
-                                     ///< an epoch is claimed, or stopping
+  std::condition_variable readyCv_;  ///< a slot turned Ready, or the end
+  std::condition_variable freeCv_;   ///< a slot turned Free, or stopping
   std::thread worker_;
 };
 

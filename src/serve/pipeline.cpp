@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <span>
 #include <stdexcept>
-#include <utility>
+#include <string>
 
 #include "hbn/dynamic/harness.h"
 #include "hbn/serve/error.h"
@@ -34,11 +34,9 @@ std::uint64_t EpochBatch::bufferBytes() const noexcept {
 
 EpochIngest::EpochIngest(RequestStream& stream, const net::Tree& tree,
                          int numObjects, std::size_t epochSize, bool threaded,
-                         util::FaultInjector* faults,
                          std::uint64_t baseEpoch)
     : stream_(&stream),
       tree_(&tree),
-      faults_(faults),
       numObjects_(numObjects),
       epochSize_(epochSize),
       threaded_(threaded),
@@ -102,10 +100,12 @@ void EpochIngest::fillBatch(EpochBatch& batch) {
   for (std::size_t i = 0; i < batch.n; ++i) {
     const RequestEvent& ev = batch.raw[i];
     if (ev.object < 0 || ev.object >= numObjects_) {
-      throw std::out_of_range("EpochServer: request object out of range");
+      throw std::out_of_range("ingest: request object " +
+                              std::to_string(ev.object) + " out of range");
     }
     if (ev.origin < 0 || ev.origin >= tree_->nodeCount()) {
-      throw std::out_of_range("EpochServer: request origin out of range");
+      throw std::out_of_range("ingest: request origin " +
+                              std::to_string(ev.origin) + " out of range");
     }
   }
   dynamic::bucketRequestsByObject(
@@ -116,97 +116,56 @@ void EpochIngest::fillBatch(EpochBatch& batch) {
 }
 
 bool EpochIngest::fillNextEpoch(EpochBatch& batch) {
-  // Caller holds fillMutex_ (the single-filler token): only one thread
-  // touches the stream at a time, and the epoch number claimed here is
-  // therefore strictly sequential no matter which thread fills.
-  std::uint64_t epoch;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    // The watchdogged consumer may have hit end of stream already.
-    if (exhausted_) return false;
-    epoch = nextEpoch_;
-  }
-  batch.epoch = epoch;
+  batch.epoch = nextEpoch_;
   try {
     fillBatch(batch);
   } catch (const Error&) {
     throw;
   } catch (const std::exception& e) {
-    throw Error(Stage::Ingest, epoch, e.what());
+    throw Error(Stage::Ingest, batch.epoch, e.what());
   } catch (...) {
-    throw Error(Stage::Ingest, epoch, "unknown ingest failure");
+    throw Error(Stage::Ingest, batch.epoch, "unknown ingest failure");
   }
   if (batch.n == 0) return false;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++nextEpoch_;
-  }
-  // Wakes an ingest thread stalled on this epoch: its epoch was taken
-  // over, it should move on to the next one.
-  freeCv_.notify_all();
+  ++nextEpoch_;
   return true;
 }
 
 void EpochIngest::ingestLoop() {
-  for (;;) {
-    std::size_t index;
+  for (std::size_t index = 0;; index = 1 - index) {
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      freeCv_.wait(lock, [this] {
-        return stopping_ || state_[fillIndex_] == SlotState::Free;
+      freeCv_.wait(lock, [this, index] {
+        return stopping_ || state_[index] == SlotState::Free;
       });
       if (stopping_) return;
-      index = fillIndex_;
-      // Injected ingest stall: sleep BEFORE taking the fill token, so a
-      // watchdogged consumer (acquireFor) can assemble the epoch itself
-      // meanwhile. The sleep is interruptible — it ends early when the
-      // epoch is taken over, the stream ends, or we are stopping.
-      if (faults_ != nullptr) {
-        const std::uint64_t epoch = nextEpoch_;
-        const double stall = faults_->stallMs(epoch);
-        if (stall > 0.0) {
-          freeCv_.wait_for(
-              lock, std::chrono::duration<double, std::milli>(stall),
-              [this, epoch] {
-                return stopping_ || exhausted_ || nextEpoch_ != epoch;
-              });
-          if (stopping_) return;
-          if (exhausted_ || nextEpoch_ != epoch) continue;
-        }
-      }
     }
     // Fill outside mutex_: this is the whole point of the stage — the
     // consumer serves the other slot meanwhile.
-    bool end = false;
+    bool filled = false;
+    std::exception_ptr error;
     try {
-      std::lock_guard<std::mutex> fillLock(fillMutex_);
-      end = !fillNextEpoch(slots_[index]);
+      filled = fillNextEpoch(slots_[index]);
     } catch (...) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      error_ = std::current_exception();
-      readyCv_.notify_all();
-      return;
+      error = std::current_exception();
     }
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      if (end) {
+      if (filled) {
+        state_[index] = SlotState::Ready;
+      } else if (error) {
+        error_ = error;
+      } else {
         exhausted_ = true;
-        readyCv_.notify_all();
-        return;
       }
-      state_[index] = SlotState::Ready;
-      fillIndex_ = 1 - fillIndex_;
     }
     readyCv_.notify_all();
+    if (!filled) return;
   }
 }
 
 EpochBatch* EpochIngest::acquire() {
-  if (!threaded_) {
-    EpochBatch& batch = slots_[0];
-    std::lock_guard<std::mutex> fillLock(fillMutex_);
-    return fillNextEpoch(batch) ? &batch : nullptr;
-  }
+  if (!threaded_) return fillNextEpoch(slots_[0]) ? &slots_[0] : nullptr;
   std::unique_lock<std::mutex> lock(mutex_);
   readyCv_.wait(lock, [this] {
     return error_ || exhausted_ || state_[serveIndex_] == SlotState::Ready;
@@ -222,56 +181,8 @@ EpochBatch* EpochIngest::acquire() {
   return nullptr;  // exhausted
 }
 
-AcquireResult EpochIngest::acquireFor(double timeoutMs) {
-  if (!threaded_ || timeoutMs <= 0.0) return {acquire(), false};
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    const bool signalled = readyCv_.wait_for(
-        lock, std::chrono::duration<double, std::milli>(timeoutMs), [this] {
-          return error_ || exhausted_ ||
-                 state_[serveIndex_] == SlotState::Ready;
-        });
-    if (signalled) {
-      if (state_[serveIndex_] == SlotState::Ready) {
-        EpochBatch* batch = &slots_[serveIndex_];
-        serveIndex_ = 1 - serveIndex_;
-        return {batch, false};
-      }
-      if (error_) std::rethrow_exception(error_);
-      return {nullptr, false};
-    }
-  }
-  // Watchdog fired: contend for the fill token. If the ingest thread
-  // finishes while we wait for it, serve its slot normally — only a
-  // thread that wins the token against a still-stalled ingest assembles
-  // the epoch inline (the barrier engine's behaviour for this epoch).
-  std::lock_guard<std::mutex> fillLock(fillMutex_);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (error_ || exhausted_ || state_[serveIndex_] == SlotState::Ready) {
-      if (state_[serveIndex_] == SlotState::Ready) {
-        EpochBatch* batch = &slots_[serveIndex_];
-        serveIndex_ = 1 - serveIndex_;
-        return {batch, false};
-      }
-      if (error_) std::rethrow_exception(error_);
-      return {nullptr, false};
-    }
-  }
-  if (degraded_.offsets.empty()) sizeBatch(degraded_);
-  if (!fillNextEpoch(degraded_)) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      exhausted_ = true;
-    }
-    freeCv_.notify_all();  // releases an ingest thread stalled on this epoch
-    return {nullptr, false};
-  }
-  return {&degraded_, true};
-}
-
 void EpochIngest::release(EpochBatch* batch) {
-  if (!threaded_ || batch == nullptr || batch == &degraded_) return;
+  if (!threaded_ || batch == nullptr) return;
   const auto index = static_cast<std::size_t>(batch - slots_.data());
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -282,7 +193,7 @@ void EpochIngest::release(EpochBatch* batch) {
 
 std::uint64_t EpochIngest::bufferBytes() const noexcept {
   const std::size_t slotCount = threaded_ ? 2 : 1;
-  std::uint64_t total = degraded_.bufferBytes();
+  std::uint64_t total = 0;
   for (std::size_t s = 0; s < slotCount; ++s) {
     total += slots_[s].bufferBytes();
   }

@@ -216,19 +216,16 @@ ShardedReport ShardCoordinator::serve(serve::RequestStream& stream) {
     // N (release() right after the broadcast hands the slot back).
     serve::EpochIngest ingest(stream, tree, numObjects_,
                               options_.serve.epochSize,
-                              options_.serve.pipeline, nullptr, 0);
+                              options_.serve.pipeline);
     util::Accumulator epochMs;
     util::Timer total;
 
     for (;;) {
-      const serve::AcquireResult acquired =
-          ingest.acquireFor(options_.serve.stallTimeoutMs);
-      serve::EpochBatch* const batch = acquired.batch;
+      serve::EpochBatch* const batch = ingest.acquire();
       if (batch == nullptr) break;
       util::Timer epochTimer;
       const std::uint64_t epochIndex = report.epochs;
       const std::size_t n = batch->n;
-      if (acquired.degraded) ++report.degradedEpochs;
 
       scatter(*batch, epochIndex);
       ingest.release(batch);
@@ -286,7 +283,6 @@ ShardedReport ShardCoordinator::serve(serve::RequestStream& stream) {
       serve::EpochRecord record;
       record.index = epochIndex;
       record.requests = n;
-      record.degraded = acquired.degraded;
       record.lowerBound = lowerBound;
       record.congestion = loads_.congestion(tree);
 

@@ -65,10 +65,9 @@ struct EpochBatch;
 namespace hbn::shard {
 
 /// Sharded-serving knobs. `serve` carries the engine configuration
-/// (epochSize, policy, replaceDrift, pipeline, stallTimeoutMs); each
-/// worker serves on one thread, so serve.threads must be 1, and
-/// checkpointing/restore and fault injection are single-process
-/// features and must be off.
+/// (epochSize, policy, replaceDrift, pipeline); each worker serves on
+/// one thread, so serve.threads must be 1, and checkpointing/restore
+/// and fault injection are single-process features and must be off.
 struct ShardOptions {
   serve::ServeOptions serve;
   Partition::Kind partition = Partition::Kind::Hash;

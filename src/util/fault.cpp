@@ -1,7 +1,6 @@
 #include "hbn/util/fault.h"
 
 #include <charconv>
-#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -26,24 +25,10 @@ std::uint64_t parseUint(std::string_view text, std::string_view spec,
   return value;
 }
 
-double parseMs(std::string_view text, std::string_view spec) {
-  double value = 0.0;
-  const char* begin = text.data();
-  const char* end = begin + text.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, value);
-  if (ec != std::errc{} || ptr != end || !std::isfinite(value) ||
-      value < 0.0) {
-    specFail(spec, "ms= expects a non-negative number, got '" +
-                       std::string(text) + "'");
-  }
-  return value;
-}
-
 }  // namespace
 
 const char* faultKindName(FaultKind kind) noexcept {
   switch (kind) {
-    case FaultKind::IngestStall: return "ingest-stall";
     case FaultKind::ShardThrow: return "shard-throw";
     case FaultKind::HandoffFail: return "handoff-fail";
   }
@@ -57,15 +42,13 @@ FaultSpec parseFaultSpec(std::string_view text) {
     specFail(text, "expected kind@epochN (e.g. shard-throw@epoch5)");
   }
   const std::string_view kind = text.substr(0, at);
-  if (kind == "ingest-stall") {
-    spec.kind = FaultKind::IngestStall;
-  } else if (kind == "shard-throw") {
+  if (kind == "shard-throw") {
     spec.kind = FaultKind::ShardThrow;
   } else if (kind == "handoff-fail") {
     spec.kind = FaultKind::HandoffFail;
   } else {
     specFail(text, "unknown kind '" + std::string(kind) +
-                       "'; available: ingest-stall shard-throw handoff-fail");
+                       "'; available: shard-throw handoff-fail");
   }
 
   std::string_view rest = text.substr(at + 1);
@@ -84,11 +67,6 @@ FaultSpec parseFaultSpec(std::string_view text) {
         specFail(text, "shard only applies to shard-throw");
       }
       spec.shard = static_cast<int>(parseUint(part.substr(5), text, "shard"));
-    } else if (part.rfind("ms=", 0) == 0) {
-      if (spec.kind != FaultKind::IngestStall) {
-        specFail(text, "ms= only applies to ingest-stall");
-      }
-      spec.stallMs = parseMs(part.substr(3), text);
     } else if (part.rfind("times=", 0) == 0) {
       const std::uint64_t times = parseUint(part.substr(6), text, "times=");
       if (times < 1 || times > 1'000'000) {
@@ -97,7 +75,7 @@ FaultSpec parseFaultSpec(std::string_view text) {
       spec.times = static_cast<int>(times);
     } else {
       specFail(text, "unknown part '" + std::string(part) +
-                         "'; expected epochN, shardM, ms=T, or times=K");
+                         "'; expected epochN, shardM, or times=K");
     }
   }
   if (!epochSeen) {
@@ -127,21 +105,6 @@ void FaultInjector::addSpecs(std::string_view specs) {
 bool FaultInjector::empty() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return specs_.empty();
-}
-
-double FaultInjector::stallMs(std::uint64_t epoch) {
-  if (!armedFast(FaultKind::IngestStall)) return 0.0;
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (FaultSpec& spec : specs_) {
-    if (spec.kind == FaultKind::IngestStall && spec.times > 0 &&
-        spec.epoch == epoch) {
-      --spec.times;
-      ++triggered_;
-      refreshArmedMask();
-      return spec.stallMs;
-    }
-  }
-  return 0.0;
 }
 
 bool FaultInjector::fire(FaultKind kind, std::uint64_t epoch, int shard) {
@@ -175,7 +138,6 @@ std::string FaultInjector::describe() const {
     first = false;
     oss << faultKindName(spec.kind) << "@epoch" << spec.epoch;
     if (spec.shard >= 0) oss << ":shard" << spec.shard;
-    if (spec.kind == FaultKind::IngestStall) oss << ":ms=" << spec.stallMs;
     if (spec.times != 1) oss << ":times=" << spec.times;
   }
   return oss.str();

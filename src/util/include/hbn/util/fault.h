@@ -2,7 +2,7 @@
 //
 // A FaultInjector holds a set of armed fault points parsed from a
 // compact spec grammar and is threaded through the serving pipeline
-// (epoch ingest, the shard-serving worker pool, the §4 handoff seam).
+// (the shard-serving worker pool and the §4 handoff seam).
 // Injection is compiled in always — the hooks cost one relaxed atomic
 // load when no fault of that kind is armed — so the exact binary that
 // runs in production is the one the fault-recovery tests exercise.
@@ -10,14 +10,12 @@
 // Spec grammar (see docs/robustness.md):
 //
 //   spec    := kind '@' 'epoch' N ( ':' option )*
-//   kind    := 'ingest-stall' | 'shard-throw' | 'handoff-fail'
+//   kind    := 'shard-throw' | 'handoff-fail'
 //   option  := 'shard' M          (shard-throw: only worker M, default any)
-//            | 'ms=' T            (ingest-stall: stall milliseconds,
-//                                  default 50)
 //            | 'times=' K         (trigger count before the fault
 //                                  disarms, default 1)
 //
-// Examples: "ingest-stall@epoch3", "shard-throw@epoch5:shard2",
+// Examples: "shard-throw@epoch5:shard2",
 // "handoff-fail@epoch4:times=2". Several specs combine via repeated
 // --inject flags or a comma-separated list.
 //
@@ -39,9 +37,8 @@ namespace hbn::util {
 
 /// Injection-point kinds, one per pipeline seam.
 enum class FaultKind : unsigned {
-  IngestStall = 0,  ///< delay the ingest thread before it fills an epoch
-  ShardThrow = 1,   ///< throw from a serve worker inside an epoch
-  HandoffFail = 2,  ///< fail the handoff-pass publication
+  ShardThrow = 0,   ///< throw from a serve worker inside an epoch
+  HandoffFail = 1,  ///< fail the handoff-pass publication
 };
 
 [[nodiscard]] const char* faultKindName(FaultKind kind) noexcept;
@@ -51,7 +48,6 @@ struct FaultSpec {
   FaultKind kind = FaultKind::ShardThrow;
   std::uint64_t epoch = 0;  ///< epoch index the fault arms at
   int shard = -1;           ///< shard-throw: worker index, -1 = any
-  double stallMs = 50.0;    ///< ingest-stall: delay per trigger
   int times = 1;            ///< triggers before the fault disarms
 };
 
@@ -60,9 +56,9 @@ struct FaultSpec {
 [[nodiscard]] FaultSpec parseFaultSpec(std::string_view text);
 
 /// A set of armed fault points, queried from the pipeline's injection
-/// hooks. Thread-safe: hooks run on the ingest thread, the serve
-/// thread, and every worker. The no-fault fast path is one relaxed
-/// atomic load, so leaving hooks compiled in costs nothing.
+/// hooks. Thread-safe: hooks run on the serve thread and every
+/// worker. The no-fault fast path is one relaxed atomic load, so
+/// leaving hooks compiled in costs nothing.
 class FaultInjector {
  public:
   FaultInjector() = default;
@@ -73,10 +69,6 @@ class FaultInjector {
   void addSpecs(std::string_view specs);
 
   [[nodiscard]] bool empty() const;
-
-  /// Consumes one ingest-stall trigger for `epoch`; returns the stall
-  /// in milliseconds, 0 when none is armed.
-  [[nodiscard]] double stallMs(std::uint64_t epoch);
 
   /// Consumes one trigger of `kind` matching (epoch, shard); true when
   /// a fault fired. `shard` is ignored for non-sharded kinds.

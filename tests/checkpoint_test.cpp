@@ -4,8 +4,9 @@
 // latest snapshot into a fresh server, re-serve the remaining stream,
 // and end bit-identical to an uninterrupted run — across thread counts
 // and both engines. Plus: checkpointing itself is digest-neutral, a
-// restored server equals the server it snapshotted, and corrupted or
-// truncated snapshots are rejected loudly instead of half-applied.
+// restored server equals the server it snapshotted, corrupted or
+// truncated snapshots are rejected loudly instead of half-applied, and
+// v1 snapshots with nonzero retired stats slots still restore.
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
@@ -254,6 +255,40 @@ TEST(Checkpoint, CorruptedAndTruncatedSnapshotsAreRejected) {
   {
     std::istringstream in("hello world\n");
     EXPECT_THROW((void)readCheckpoint(in), std::invalid_argument);
+  }
+  // A v1 snapshot whose two retired stats slots (degraded epochs,
+  // handoff retries) are nonzero, as older writers produced, with a
+  // valid checksum: the slots are read and discarded, and resuming from
+  // it finishes bit-identical to an uninterrupted run.
+  {
+    std::ifstream in(dir / "checkpoint-10.hbn", std::ios::binary);
+    std::ostringstream slurp;
+    slurp << in.rdbuf();
+    std::string legacy = slurp.str();
+    const std::string fresh = "\nstats 0 0 ";
+    const std::size_t stats = legacy.find(fresh);
+    ASSERT_NE(stats, std::string::npos);
+    legacy.replace(stats, fresh.size(), "\nstats 3 2 ");
+    legacy.resize(legacy.rfind("checksum "));
+    std::uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a 64
+    for (const char c : legacy) {
+      hash ^= static_cast<unsigned char>(c);
+      hash *= 0x100000001b3ULL;
+    }
+    std::ostringstream checksum;
+    checksum << "checksum " << std::hex << hash << '\n';
+    std::istringstream legacyIn(legacy + checksum.str());
+    const CheckpointData data = readCheckpoint(legacyIn);
+    EXPECT_EQ(data.epochs, 10u);
+
+    const ServeOptions options = makeOptions("tree-counters", 1, false);
+    EpochServer server(rooted, kObjects, options);
+    server.restoreFrom(data);
+    VectorStream stream({events.begin(), events.end()});
+    skipRequests(stream, data.servedTotal);
+    const ServeReport report = server.serve(stream);
+    EXPECT_EQ(digest(server, report),
+              serveUninterrupted(rooted, events, options));
   }
   std::filesystem::remove_all(dir);
 }

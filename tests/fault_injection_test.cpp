@@ -1,14 +1,13 @@
-// Deterministic fault injection and graceful degradation.
+// Deterministic fault injection and stage-attributed failures.
 //
 // Covers the spec grammar (positives and loud negatives), the injector's
-// trigger-budget semantics, and the three pipeline seams end to end:
-// an injected ingest stall degrades exactly the armed epoch to inline
-// assembly without changing a single bit of the result; a failing §4
-// handoff publication is retried within budget (digest-neutral) and
-// surfaces as serve::Error{Handoff} when the budget is exhausted; a
-// shard throw propagates as serve::Error{Serve} and — the teardown
-// regression — leaves the server and its ingest thread destructible
-// and the process healthy.
+// trigger-budget semantics, and the failure seams end to end: a failing
+// §4 handoff publication surfaces as serve::Error{Handoff} at the drift
+// epoch; a shard throw propagates as serve::Error{Serve} and — the
+// teardown regression — leaves the server and its ingest thread
+// destructible and the process healthy; a poisoned stream surfaces as
+// serve::Error{Ingest} from both the single-process engine and the
+// shard coordinator.
 #include <string>
 #include <vector>
 
@@ -18,6 +17,8 @@
 #include "hbn/serve/epoch_server.h"
 #include "hbn/serve/error.h"
 #include "hbn/serve/request_stream.h"
+#include "hbn/shard/coordinator.h"
+#include "hbn/shard/process.h"
 #include "hbn/util/fault.h"
 #include "hbn/workload/generators.h"
 
@@ -40,23 +41,11 @@ constexpr std::uint64_t kRequests = 20'000;
 
 TEST(FaultSpecTest, ParsesEveryKindAndOption) {
   {
-    const FaultSpec s = parseFaultSpec("ingest-stall@epoch3");
-    EXPECT_EQ(s.kind, FaultKind::IngestStall);
-    EXPECT_EQ(s.epoch, 3u);
-    EXPECT_DOUBLE_EQ(s.stallMs, 50.0);
-    EXPECT_EQ(s.times, 1);
-  }
-  {
-    const FaultSpec s = parseFaultSpec("ingest-stall@epoch7:ms=12.5:times=4");
-    EXPECT_EQ(s.epoch, 7u);
-    EXPECT_DOUBLE_EQ(s.stallMs, 12.5);
-    EXPECT_EQ(s.times, 4);
-  }
-  {
     const FaultSpec s = parseFaultSpec("shard-throw@epoch5:shard2");
     EXPECT_EQ(s.kind, FaultKind::ShardThrow);
     EXPECT_EQ(s.epoch, 5u);
     EXPECT_EQ(s.shard, 2);
+    EXPECT_EQ(s.times, 1);
   }
   {
     const FaultSpec s = parseFaultSpec("handoff-fail@epoch4:times=2");
@@ -70,12 +59,13 @@ TEST(FaultSpecTest, RejectsGrammarViolations) {
   for (const char* bad : {
            "",                             // empty
            "explode@epoch1",               // unknown kind
+           "ingest-stall@epoch3",          // unknown kind (retired)
            "shard-throw",                  // missing @epoch
            "shard-throw@epoch",            // missing epoch number
            "shard-throw@3",                // missing 'epoch' keyword
            "shard-throw@epoch2:bogus",     // unknown option
-           "shard-throw@epoch2:ms=5",      // ms only for ingest-stall
-           "ingest-stall@epoch2:shard1",   // shard only for shard-throw
+           "shard-throw@epoch2:ms=5",      // unknown option (retired)
+           "handoff-fail@epoch2:shard1",   // shard only for shard-throw
            "handoff-fail@epoch2:times=0",  // times must be >= 1
        }) {
     EXPECT_THROW((void)parseFaultSpec(bad), std::invalid_argument) << bad;
@@ -95,12 +85,6 @@ TEST(FaultInjectorTest, TriggerBudgetCountsDown) {
   EXPECT_FALSE(injector.fire(FaultKind::ShardThrow, 5, 1));
   EXPECT_TRUE(injector.fire(FaultKind::HandoffFail, 3, -1));
   EXPECT_EQ(injector.triggered(), 3u);
-
-  FaultInjector stalls;
-  stalls.addSpecs("ingest-stall@epoch2:ms=7.5");
-  EXPECT_DOUBLE_EQ(stalls.stallMs(1), 0.0);
-  EXPECT_DOUBLE_EQ(stalls.stallMs(2), 7.5);
-  EXPECT_DOUBLE_EQ(stalls.stallMs(2), 0.0);  // budget spent
 
   EXPECT_EQ(util::makeFaultInjector(""), nullptr);
   EXPECT_NE(util::makeFaultInjector("handoff-fail@epoch1"), nullptr);
@@ -165,68 +149,45 @@ RunResult run(const net::RootedTree& rooted,
   return result;
 }
 
-TEST(FaultInjectionTest, IngestStallDegradesEpochBitIdentically) {
-  const net::Tree tree = net::makeClusterNetwork(3, 4);
-  const net::RootedTree rooted(tree, tree.defaultRoot());
-  const auto events = makeEvents(tree, 61);
-  const RunResult reference = run(rooted, events, makeOptions(3, true));
-
-  ServeOptions options = makeOptions(3, true);
-  // Stall far beyond the watchdog: epoch 2 must be assembled inline.
-  options.faults = util::makeFaultInjector("ingest-stall@epoch2:ms=5000");
-  options.stallTimeoutMs = 25.0;
-  const RunResult degraded = run(rooted, events, options);
-  EXPECT_EQ(options.faults->triggered(), 1u);
-  EXPECT_GE(degraded.report.degradedEpochs, 1u);
-  ASSERT_GT(degraded.log.size(), 2u);
-  EXPECT_TRUE(degraded.log[2].degraded);
-  EXPECT_EQ(degraded.digest, reference.digest);
-}
-
-TEST(FaultInjectionTest, HandoffFailureRetriesWithinBudget) {
+// A failing §4 handoff publication is not retried: beginHandoff is
+// deterministic over the aggregated matrix, so the first failure at the
+// drift epoch surfaces as serve::Error{Handoff} with its exit code, and
+// the drift epoch itself is never logged.
+TEST(FaultInjectionTest, HandoffFailureIsHandoffError) {
   const net::Tree tree = net::makeClusterNetwork(3, 4);
   const net::RootedTree rooted(tree, tree.defaultRoot());
   const auto events = makeEvents(tree, 67);
-  const RunResult reference = run(rooted, events, makeOptions(3, true));
-  // The injection must land on a real §4 pass: find the first epoch the
-  // reference run re-placed at.
-  std::uint64_t driftEpoch = 0;
-  bool found = false;
-  for (const EpochRecord& record : reference.log) {
-    if (record.replaced) {
-      driftEpoch = record.index;
-      found = true;
-      break;
+  for (const bool pipeline : {false, true}) {
+    SCOPED_TRACE(pipeline ? "pipelined" : "barrier");
+    const RunResult reference = run(rooted, events, makeOptions(3, pipeline));
+    // The injection must land on a real §4 pass: find the first epoch
+    // the reference run re-placed at.
+    std::uint64_t driftEpoch = 0;
+    bool found = false;
+    for (const EpochRecord& record : reference.log) {
+      if (record.replaced) {
+        driftEpoch = record.index;
+        found = true;
+        break;
+      }
     }
-  }
-  ASSERT_TRUE(found) << "reference run never triggered a handoff pass";
+    ASSERT_TRUE(found) << "reference run never triggered a handoff pass";
 
-  ServeOptions options = makeOptions(3, true);
-  options.faults = util::makeFaultInjector(
-      "handoff-fail@epoch" + std::to_string(driftEpoch) + ":times=2");
-  options.handoffRetries = 3;
-  options.handoffBackoffMs = 0.0;
-  const RunResult retried = run(rooted, events, options);
-  EXPECT_EQ(retried.report.handoffRetries, 2u);
-  EXPECT_EQ(options.faults->triggered(), 2u);
-  EXPECT_EQ(retried.digest, reference.digest);
-
-  // Exhausting the budget surfaces as serve::Error{Handoff} with the
-  // dedicated exit code.
-  ServeOptions doomed = makeOptions(3, true);
-  doomed.faults = util::makeFaultInjector(
-      "handoff-fail@epoch" + std::to_string(driftEpoch) + ":times=10");
-  doomed.handoffRetries = 2;
-  doomed.handoffBackoffMs = 0.0;
-  EpochServer server(rooted, kObjects, doomed);
-  VectorStream stream({events.begin(), events.end()});
-  try {
-    (void)server.serve(stream);
-    FAIL() << "exhausted handoff retries did not surface";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.stage(), Stage::Handoff);
-    EXPECT_EQ(e.epoch(), driftEpoch);
-    EXPECT_EQ(e.exitCode(), 12);
+    ServeOptions options = makeOptions(3, pipeline);
+    options.faults = util::makeFaultInjector(
+        "handoff-fail@epoch" + std::to_string(driftEpoch));
+    EpochServer server(rooted, kObjects, options);
+    VectorStream stream({events.begin(), events.end()});
+    try {
+      (void)server.serve(stream);
+      FAIL() << "injected handoff failure did not surface";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.stage(), Stage::Handoff);
+      EXPECT_EQ(e.epoch(), driftEpoch);
+      EXPECT_EQ(e.exitCode(), 12);
+    }
+    EXPECT_EQ(options.faults->triggered(), 1u);
+    EXPECT_EQ(server.epochLog().size(), driftEpoch);
   }
 }
 
@@ -304,25 +265,52 @@ TEST(FaultInjectionTest, ShardThrowReachesWorkersWithEmptyChunks) {
 }
 
 // A stream failure (out-of-range object) is attributed to the ingest
-// stage in both engines, not swallowed or left as a bare exception.
+// stage in both engine modes and by the shard coordinator, not
+// swallowed or left as a bare exception; the epochs before it are
+// served and logged.
 TEST(FaultInjectionTest, StreamFailureSurfacesAsIngestError) {
   const net::Tree tree = net::makeClusterNetwork(3, 4);
   const net::RootedTree rooted(tree, tree.defaultRoot());
   std::vector<workload::RequestEvent> events(kEpochSize * 2,
                                              workload::RequestEvent{0, 0, false});
   events[kEpochSize + 5].object = kObjects + 40;  // poison epoch 1
+  const auto expectIngestError = [](const Error& e) {
+    EXPECT_EQ(e.stage(), Stage::Ingest);
+    EXPECT_EQ(e.epoch(), 1u);
+    EXPECT_EQ(e.exitCode(), 10);
+    EXPECT_NE(e.cause().find("ingest"), std::string::npos) << e.cause();
+    EXPECT_NE(e.cause().find("out of range"), std::string::npos)
+        << e.cause();
+  };
   for (const bool pipeline : {false, true}) {
     SCOPED_TRACE(pipeline ? "pipelined" : "barrier");
-    EpochServer server(rooted, kObjects, makeOptions(2, pipeline));
-    VectorStream stream({events.begin(), events.end()});
-    try {
-      (void)server.serve(stream);
-      FAIL() << "poisoned stream did not surface";
-    } catch (const Error& e) {
-      EXPECT_EQ(e.stage(), Stage::Ingest);
-      EXPECT_EQ(e.epoch(), 1u);
-      EXPECT_EQ(e.exitCode(), 10);
-      EXPECT_NE(e.cause().find("out of range"), std::string::npos);
+    {
+      EpochServer server(rooted, kObjects, makeOptions(2, pipeline));
+      VectorStream stream({events.begin(), events.end()});
+      try {
+        (void)server.serve(stream);
+        FAIL() << "poisoned stream did not surface";
+      } catch (const Error& e) {
+        expectIngestError(e);
+      }
+      EXPECT_EQ(server.epochLog().size(), 1u);
+    }
+    {
+      SCOPED_TRACE("2 loopback shard workers");
+      shard::ShardOptions options;
+      options.serve = makeOptions(1, pipeline);
+      auto cluster = shard::makeLoopbackCluster(2);
+      shard::ShardCoordinator coordinator(tree, kObjects, options,
+                                          cluster->links(), "loopback");
+      VectorStream stream({events.begin(), events.end()});
+      try {
+        (void)coordinator.serve(stream);
+        FAIL() << "poisoned stream did not surface through the coordinator";
+      } catch (const Error& e) {
+        expectIngestError(e);
+      }
+      EXPECT_EQ(coordinator.epochLog().size(), 1u);
+      cluster->kill();
     }
   }
 }

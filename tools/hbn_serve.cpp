@@ -72,8 +72,7 @@ struct ServeCli {
   std::uint64_t checkpointEvery = 1;
   std::string restoreDir;       ///< resume from this checkpoint dir
   std::string inject;           ///< comma-joined fault specs
-  double stallTimeout = 0.0;    ///< ingest watchdog ms; 0 = wait forever
-  std::uint64_t handoffRetries = 3;
+  double peerTimeout = 0.0;     ///< shard peer watchdog ms; 0 = forever
   int workers = 0;              ///< sharded workers; 0 = single-process
   std::string transport = "loopback";  ///< loopback | socket
   std::string partition = "hash";      ///< hash | range
@@ -177,11 +176,8 @@ ServeCli parseServeCli(int argc, char** argv) {
       const std::string spec = value(arg);
       if (!cli.inject.empty()) cli.inject += ',';
       cli.inject += spec;
-    } else if (arg == "--stall-timeout") {
-      cli.stallTimeout = parseDoubleFlag(arg, value(arg), 0.0, 1e9);
-    } else if (arg == "--handoff-retries") {
-      cli.handoffRetries =
-          hbn::engine::parseUintFlag(arg, value(arg), kMaxInt);
+    } else if (arg == "--peer-timeout") {
+      cli.peerTimeout = parseDoubleFlag(arg, value(arg), 0.0, 1e9);
     } else if (arg == "--workers" || arg.rfind("--workers=", 0) == 0) {
       const std::string text =
           arg == "--workers" ? value(arg) : arg.substr(10);
@@ -249,14 +245,8 @@ void printUsage(std::ostream& os) {
         "                    skipped; the resumed run's final state is\n"
         "                    bit-identical to an uninterrupted one)\n"
         "  --inject SPEC     arm a deterministic fault (repeatable):\n"
-        "                    ingest-stall@epochN[:ms=T] |\n"
         "                    shard-throw@epochN[:shardM] |\n"
         "                    handoff-fail@epochN[:times=K]\n"
-        "  --stall-timeout MS  ingest watchdog: past MS the serve thread\n"
-        "                    assembles the epoch inline (degraded mode);\n"
-        "                    0 waits forever (default)\n"
-        "  --handoff-retries N  retries before a failed handoff\n"
-        "                    publication aborts the run (default 3)\n"
         "  --workers N       shard the object space over N workers and\n"
         "                    serve through the coordinator/worker protocol\n"
         "                    (docs/sharding.md); 0 = single-process engine\n"
@@ -269,6 +259,9 @@ void printUsage(std::ostream& os) {
         "                    Unix sockets); default loopback\n"
         "  --partition P     object partition: hash (seeded stable hash) |\n"
         "                    range (contiguous blocks); default hash\n"
+        "  --peer-timeout MS  with --workers: a worker silent for MS fails\n"
+        "                    the run with exit 17; 0 waits forever\n"
+        "                    (default)\n"
         "  --json FILE       also write the serve report as JSON records\n"
         "  --threads N       worker threads (0 = all cores)\n"
         "  --seed N          stream RNG seed\n"
@@ -300,13 +293,13 @@ void printReport(const ServeCli& cli, const hbn::serve::ServeOptions& options,
                  const hbn::shard::ShardedReport* sharded) {
   using namespace hbn;
   util::Table epochs({"epoch", "requests", "ms", "congestion", "lower bound",
-                      "ratio", "re-placed", "degraded", "ckpt"});
+                      "ratio", "re-placed", "ckpt"});
   // The log can run to thousands of epochs; print the first and last
   // few, eliding the middle.
   for (std::size_t i = 0; i < log.size(); ++i) {
     if (log.size() > 12 && i == 6) {
       epochs.addRow(
-          {"...", "...", "...", "...", "...", "...", "...", "...", "..."});
+          {"...", "...", "...", "...", "...", "...", "...", "..."});
     }
     if (log.size() > 12 && i >= 6 && i + 6 < log.size()) continue;
     const serve::EpochRecord& r = log[i];
@@ -315,7 +308,7 @@ void printReport(const ServeCli& cli, const hbn::serve::ServeOptions& options,
                    util::formatDouble(r.congestion, 1),
                    util::formatDouble(r.lowerBound, 1),
                    util::formatDouble(r.ratio, 2), r.replaced ? "yes" : "",
-                   r.degraded ? "yes" : "", r.checkpointed ? "yes" : ""});
+                   r.checkpointed ? "yes" : ""});
   }
   epochs.print(std::cout);
 
@@ -354,9 +347,7 @@ void printReport(const ServeCli& cli, const hbn::serve::ServeOptions& options,
             << report.replacements << " re-placements, "
             << report.replications << " replications, "
             << report.invalidations << " invalidations\n"
-            << report.checkpoints << " checkpoints, " << report.degradedEpochs
-            << " degraded epochs, " << report.handoffRetries
-            << " handoff retries\n";
+            << report.checkpoints << " checkpoints\n";
   if (options.faults && options.faults->triggered() > 0) {
     std::cout << options.faults->triggered() << " faults injected\n";
   }
@@ -386,7 +377,6 @@ void printReport(const ServeCli& cli, const hbn::serve::ServeOptions& options,
     records.field("latency_ms_p99", r.latencyMsP99);
     records.field("latency_ms_p999", r.latencyMsP999);
     records.field("replaced", r.replaced);
-    records.field("degraded", r.degraded);
     records.field("checkpointed", r.checkpointed);
   }
   if (sharded != nullptr) {
@@ -436,10 +426,6 @@ void printReport(const ServeCli& cli, const hbn::serve::ServeOptions& options,
                 static_cast<std::int64_t>(report.replications));
   records.field("invalidations",
                 static_cast<std::int64_t>(report.invalidations));
-  records.field("degraded_epochs",
-                static_cast<std::int64_t>(report.degradedEpochs));
-  records.field("handoff_retries",
-                static_cast<std::int64_t>(report.handoffRetries));
   records.field("checkpoints", static_cast<std::int64_t>(report.checkpoints));
   records.field("seed", static_cast<std::int64_t>(seed));
   records.field("threads", options.threads);
@@ -503,6 +489,11 @@ int main(int argc, char** argv) {
           "--inject: checkpointing and fault injection are single-process "
           "features (see docs/sharding.md)");
     }
+    if (cli.workers == 0 && cli.peerTimeout > 0.0) {
+      throw std::invalid_argument(
+          "--peer-timeout needs --workers: it is the shard coordinator's "
+          "peer watchdog");
+    }
     // When resuming, load the snapshot before anything else: it decides
     // the policy (absent --policy/--threshold) and the object count for
     // generated streams, so a bare `--restore D` resumes faithfully.
@@ -559,8 +550,6 @@ int main(int argc, char** argv) {
     options.latencySample = cli.latencySample;
     options.checkpointDir = cli.checkpointDir;
     options.checkpointEvery = cli.checkpointEvery;
-    options.stallTimeoutMs = cli.stallTimeout;
-    options.handoffRetries = static_cast<int>(cli.handoffRetries);
     options.faults = util::makeFaultInjector(cli.inject);
 
     if (cli.workers > 0) {
@@ -572,7 +561,7 @@ int main(int argc, char** argv) {
       sharded.serve = options;
       sharded.partition = shard::parsePartitionKind(cli.partition);
       sharded.partitionSeed = seed;
-      sharded.peerTimeoutMs = cli.stallTimeout;
+      sharded.peerTimeoutMs = cli.peerTimeout;
       std::unique_ptr<shard::ShardCluster> cluster =
           cli.transport == "loopback"
               ? shard::makeLoopbackCluster(cli.workers)
