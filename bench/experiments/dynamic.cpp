@@ -61,11 +61,10 @@ class DynamicExperiment final : public engine::Experiment {
                 rng);
             requests = dynamic::sequenceFromWorkload(load, rng);
           }
-          dynamic::OnlineOptions options;
-          options.replicationThreshold = threshold;
           util::Timer timer;
-          const auto result =
-              dynamic::runCompetitive(rooted, numObjects, requests, options);
+          const auto result = dynamic::runCompetitive(
+              rooted, numObjects, requests,
+              "tree-counters:threshold=" + std::to_string(threshold));
           reporter.addTiming(timer.millis());
           if (result.offlineLowerBound > 0.0) {
             ratio.add(result.onlineCongestion / result.offlineLowerBound);

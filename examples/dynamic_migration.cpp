@@ -4,6 +4,7 @@
 // compare its realised congestion with the offline static bound and with
 // a static extended-nibble placement computed in hindsight.
 #include <iostream>
+#include <string>
 
 #include "hbn/core/extended_nibble.h"
 #include "hbn/core/lower_bound.h"
@@ -47,10 +48,9 @@ int main() {
   util::Table table({"threshold D", "online congestion", "offline LB",
                      "ratio", "replications", "invalidations"});
   for (const core::Count threshold : {1, 2, 4, 8}) {
-    dynamic::OnlineOptions options;
-    options.replicationThreshold = threshold;
-    const auto result =
-        dynamic::runCompetitive(rooted, kObjects, requests, options);
+    const auto result = dynamic::runCompetitive(
+        rooted, kObjects, requests,
+        "tree-counters:threshold=" + std::to_string(threshold));
     table.addRow({std::to_string(threshold),
                   util::formatDouble(result.onlineCongestion, 1),
                   util::formatDouble(result.offlineLowerBound, 1),

@@ -227,22 +227,6 @@ bool AdaptivePolicy::wantsHandoff() const {
                      [](char flag) { return flag != 0; });
 }
 
-core::Placement AdaptivePolicy::handoffPlacement(
-    const workload::Workload& /*aggregated*/, int /*threads*/) {
-  ++handoffs_;
-  core::Placement placement;
-  placement.objects.resize(static_cast<std::size_t>(numObjects_));
-  for (ObjectId x = 0; x < numObjects_; ++x) {
-    const std::uint8_t member = routes_[static_cast<std::size_t>(x)].desired;
-    core::ObjectPlacement& object =
-        placement.objects[static_cast<std::size_t>(x)];
-    for (const net::NodeId v : members_[member]->copySet(x)) {
-      object.copies.push_back(core::Copy{v, {}});
-    }
-  }
-  return placement;
-}
-
 std::unique_ptr<HandoffPass> AdaptivePolicy::beginHandoff(
     std::shared_ptr<const workload::Workload> /*aggregated*/,
     int /*workers*/) {
@@ -267,20 +251,19 @@ void AdaptivePolicy::resetCopySet(ObjectId x,
   checkObject(x, numObjects_, "resetCopySet");
   Route& route = routes_[static_cast<std::size_t>(x)];
   std::uint64_t& seq = appliedSeq_[static_cast<std::size_t>(x)];
-  std::uint8_t member;
-  if (seq < passesBegun_) {
-    // Applying pass #seq (creation order): commit the member that pass
-    // snapshotted, NOT the current desired — chained pending passes
-    // then apply identically whether drained at the trigger (barrier)
-    // or on later touches (pipelined).
-    member = snapshots_[static_cast<std::size_t>(seq - snapshotBase_)]
-                       [static_cast<std::size_t>(x)];
-    ++seq;
-  } else {
-    // Direct seam use (handoffPlacement + resetCopySet with no pass
-    // begun): commit the current decision.
-    member = route.desired;
+  if (seq >= passesBegun_) {
+    throw std::logic_error(
+        "adaptive: resetCopySet with no handoff pass pending for the "
+        "object (re-placement goes through beginHandoff)");
   }
+  // Applying pass #seq (creation order): commit the member that pass
+  // snapshotted, NOT the current desired — chained pending passes then
+  // apply identically whether drained at the trigger (barrier) or on
+  // later touches (pipelined).
+  const std::uint8_t member =
+      snapshots_[static_cast<std::size_t>(seq - snapshotBase_)]
+                [static_cast<std::size_t>(x)];
+  ++seq;
   const std::vector<net::NodeId> expected = members_[member]->copySet(x);
   if (expected.size() != locations.size() ||
       !std::equal(expected.begin(), expected.end(), locations.begin())) {

@@ -144,12 +144,4 @@ CompetitiveResult runCompetitive(const net::RootedTree& rooted,
   return result;
 }
 
-CompetitiveResult runCompetitive(const net::RootedTree& rooted,
-                                 int numObjects,
-                                 const std::vector<Request>& requests,
-                                 const OnlineOptions& options) {
-  return runCompetitive(rooted, numObjects, requests,
-                        treeCountersSpec(options));
-}
-
 }  // namespace hbn::dynamic

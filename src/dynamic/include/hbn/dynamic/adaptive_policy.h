@@ -105,8 +105,6 @@ class AdaptivePolicy final : public OnlinePolicy {
   [[nodiscard]] bool migratable() const noexcept override { return true; }
   [[nodiscard]] bool wantsHandoff() const override;
 
-  [[nodiscard]] core::Placement handoffPlacement(
-      const workload::Workload& aggregated, int threads) override;
   [[nodiscard]] std::unique_ptr<HandoffPass> beginHandoff(
       std::shared_ptr<const workload::Workload> aggregated,
       int workers) override;

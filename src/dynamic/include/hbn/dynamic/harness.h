@@ -80,10 +80,4 @@ struct CompetitiveResult {
     const net::RootedTree& rooted, int numObjects,
     const std::vector<Request>& requests, const std::string& policySpec);
 
-/// Counter-scheme convenience overload: OnlineOptions rendered as the
-/// equivalent "tree-counters:threshold=D,contract=B" spec.
-[[nodiscard]] CompetitiveResult runCompetitive(
-    const net::RootedTree& rooted, int numObjects,
-    const std::vector<Request>& requests, const OnlineOptions& options = {});
-
 }  // namespace hbn::dynamic

@@ -16,8 +16,9 @@
 //
 // Built-in policies:
 //   tree-counters     the FOCS'97 counter scheme (replicate towards
-//                     readers, invalidate on writes) — wraps
-//                     OnlineTreeStrategy; options threshold=D,contract=B
+//                     readers, invalidate on writes) — OnlineTreeStrategy
+//                     (hbn/dynamic/online_strategy.h); options
+//                     threshold=D,contract=B
 //   static            serve from a frozen placement recomputed only at
 //                     §4 drift handoffs by any registered
 //                     PlacementStrategy: `static:placement=<spec>`
@@ -39,40 +40,76 @@
 #include <iosfwd>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
-#include "hbn/core/placement.h"
-#include "hbn/dynamic/online_strategy.h"
+#include "hbn/core/flat_load.h"
+#include "hbn/core/load.h"
 #include "hbn/engine/registry.h"
+#include "hbn/net/rooted.h"
+#include "hbn/workload/workload.h"
 
 namespace hbn::dynamic {
 
+using core::Count;
+using workload::ObjectId;
+
+/// Knobs of the tree-counters policy (its spec options).
+struct OnlineOptions {
+  /// Reads across an edge needed before the copy set expands over it.
+  Count replicationThreshold = 2;
+  /// Whether writes contract the copy set to the writer-side entry node.
+  bool contractOnWrite = true;
+};
+
+/// One online request (the workload layer's stream event).
+using Request = workload::RequestEvent;
+
+/// Replication/invalidation counts of one serveShard call.
+struct ShardStats {
+  Count replications = 0;
+  Count invalidations = 0;
+};
+
+/// Reusable per-worker buffers for serveShard: origin-side and
+/// anchor-side scratch for the counter scheme's fused entry-point/
+/// charging walk. One instance per worker thread amortises every
+/// per-request allocation away.
+struct ServeScratch {
+  std::vector<net::NodeId> upPath;
+  std::vector<net::NodeId> descent;
+  /// Shadow LoadMap the adaptive meta-policy scores member policies
+  /// into (one member at a time, cleared between members); sized lazily
+  /// to the tree's edge count on first use so policies that never
+  /// shadow-serve pay nothing.
+  core::LoadMap shadowLoads{0};
+};
+
 /// One in-flight §4 dynamic-to-static handoff: the re-placement a
-/// policy computed (or will compute lazily) from a frozen snapshot of
-/// the aggregated request frequencies, queried one object at a time.
+/// policy opened on the aggregated request frequencies at the trigger,
+/// queried one object at a time.
 ///
-/// This is the seam the pipelined epoch server migrates through: rather
-/// than materialising the whole handoff placement inside the drift
-/// epoch (the barrier-mode stop-the-world lump), the server keeps the
-/// pass pending and asks for `target(x)` when object x is next touched.
+/// This is the seam every re-placement goes through: rather than
+/// migrating every object inside the drift epoch (the barrier-mode
+/// stop-the-world lump), the pipelined server keeps the pass pending
+/// and asks for `target(x)` when object x is next touched.
 /// Contract:
 ///   - target(x, w) is deterministic in x, independent of worker count
-///     and call order, and bit-identical to row x of
-///     OnlinePolicy::handoffPlacement on the same snapshot — that
-///     equivalence is what keeps lazy and barrier application
+///     and call order — that is what keeps lazy and barrier application
 ///     bit-identical in aggregate.
 ///   - Calls for distinct objects are safe concurrently; `worker`
 ///     selects the caller's scratch slot and must be < the `workers`
 ///     passed to beginHandoff.
-///   - Snapshot stability is per ROW, not per matrix: the server only
-///     queries target(x) while x's frequency row is still bit-equal to
-///     its trigger-time value (epochs aggregate after they serve, and a
+///   - At target(x) time a pass may read only row x of the matrix it
+///     was opened on. The server guarantees just that row: it queries
+///     target(x) while x's frequency row is still bit-equal to its
+///     trigger-time value (epochs aggregate after they serve, and a
 ///     touched object applies its passes before new traffic lands in
-///     its row). A pass that reads only row x at target() time — the
-///     nibble pass — may therefore hold the server's live matrix with
-///     no copy at all; a pass that reads other rows later must freeze
-///     its own copy inside beginHandoff.
+///     its row), while other workers are writing other rows. A pass
+///     that needs more than row x — a whole-matrix placement —
+///     computes it inside beginHandoff.
 class HandoffPass {
  public:
   virtual ~HandoffPass() = default;
@@ -83,12 +120,12 @@ class HandoffPass {
 };
 
 /// Abstract online data-management policy: per-object copy
-/// configuration plus shard serving. The serving contract mirrors
-/// OnlineTreeStrategy::serveShard — calls for distinct objects touch
-/// disjoint mutable state and only read shared immutable structure, so
-/// the epoch server may run them concurrently (one worker per chunk of
-/// objects, each with its own scratch, LoadMap, and accumulator) and the
-/// merged result is bit-identical for 1 vs N threads.
+/// configuration plus shard serving. The serving contract: calls for
+/// distinct objects touch disjoint mutable state and only read shared
+/// immutable structure, so the epoch server may run them concurrently
+/// (one worker per chunk of objects, each with its own scratch, LoadMap,
+/// and accumulator) and the merged result is bit-identical for 1 vs N
+/// threads.
 class OnlinePolicy {
  public:
   virtual ~OnlinePolicy() = default;
@@ -127,7 +164,7 @@ class OnlinePolicy {
 
   /// Whether the §4 dynamic-to-static handoff applies: policies that
   /// own a movable copy configuration return true and must implement
-  /// handoffPlacement/resetCopySet; fixed-configuration policies
+  /// beginHandoff/resetCopySet; fixed-configuration policies
   /// (full-replication, owner-only) return false and the epoch server
   /// skips its drift pass entirely.
   [[nodiscard]] virtual bool migratable() const noexcept { return true; }
@@ -141,26 +178,17 @@ class OnlinePolicy {
   /// migratable(); the default never asks.
   [[nodiscard]] virtual bool wantsHandoff() const { return false; }
 
-  /// The placement this policy wants to migrate to, computed from the
-  /// aggregated request frequencies (the §4 handoff target). Only
-  /// called when migratable(). `threads` is the worker budget; the
-  /// result must be thread-count independent.
-  [[nodiscard]] virtual core::Placement handoffPlacement(
-      const workload::Workload& aggregated, int threads) = 0;
-
   /// Starts a §4 handoff against `aggregated` — the caller's matrix as
-  /// of the trigger, shared without a copy. The caller guarantees only
-  /// the per-row stability documented on HandoffPass: rows the pass
-  /// will be asked about are unchanged at target() time. Passes that
-  /// need more (whole-matrix reads after the trigger) copy their own
-  /// snapshot here. `workers` bounds the scratch slots target() may be
-  /// called with. Only called when migratable(). The default wraps
-  /// handoffPlacement eagerly (reading the matrix now, which is always
-  /// safe); policies with a cheap per-object placement (tree-counters'
-  /// nibble) override it with a lazy pass so the pipelined server never
-  /// pays a whole-placement lump.
+  /// of the trigger, shared without a copy. Called on the serve thread
+  /// between pool calls; the caller guarantees only the per-row
+  /// stability documented on HandoffPass, so anything a pass needs
+  /// beyond row x at target(x) time is computed here. `workers` is the
+  /// worker budget for that work and bounds the scratch slots target()
+  /// may be called with; results must not depend on it. Only called
+  /// when migratable().
   [[nodiscard]] virtual std::unique_ptr<HandoffPass> beginHandoff(
-      std::shared_ptr<const workload::Workload> aggregated, int workers);
+      std::shared_ptr<const workload::Workload> aggregated,
+      int workers) = 0;
 
   /// Replaces x's copy configuration with `locations` (the handoff
   /// migration; traffic is accounted by the caller). Per-object like
@@ -248,12 +276,6 @@ void applyHandoffTarget(OnlinePolicy& policy, ObjectId x,
                         std::span<const net::NodeId> target,
                         core::FlatLoadAccumulator& acc,
                         core::LoadMap& migration);
-
-/// Renders OnlineOptions as the equivalent tree-counters spec
-/// ("tree-counters:threshold=D,contract=0|1") — the bridge legacy
-/// OnlineOptions call sites (CLI --threshold, the OnlineOptions
-/// runCompetitive overload) use to reach the registry.
-[[nodiscard]] std::string treeCountersSpec(const OnlineOptions& options);
 
 namespace detail {
 /// Implemented in online_policy.cpp; wires every built-in policy into

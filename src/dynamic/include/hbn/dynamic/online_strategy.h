@@ -27,54 +27,22 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <map>
+#include <memory>
 #include <span>
+#include <string>
+#include <string_view>
 #include <vector>
 
-#include "hbn/core/flat_load.h"
-#include "hbn/core/load.h"
-#include "hbn/net/rooted.h"
-#include "hbn/workload/workload.h"
+#include "hbn/dynamic/online_policy.h"
 
 namespace hbn::dynamic {
 
-using core::Count;
-using workload::ObjectId;
-
-/// Strategy knobs.
-struct OnlineOptions {
-  /// Reads across an edge needed before the copy set expands over it.
-  Count replicationThreshold = 2;
-  /// Whether writes contract the copy set to the writer-side entry node.
-  bool contractOnWrite = true;
-};
-
-/// One online request (the workload layer's stream event).
-using Request = workload::RequestEvent;
-
-/// Replication/invalidation counts of one serveShard call.
-struct ShardStats {
-  Count replications = 0;
-  Count invalidations = 0;
-};
-
-/// Reusable per-worker buffers for serveShard: origin-side and
-/// anchor-side scratch for the fused entry-point/charging walk. One
-/// instance per worker thread amortises every per-request allocation
-/// away.
-struct ServeScratch {
-  std::vector<net::NodeId> upPath;
-  std::vector<net::NodeId> descent;
-  /// Shadow LoadMap the adaptive meta-policy scores member policies
-  /// into (one member at a time, cleared between members); sized lazily
-  /// to the tree's edge count on first use so policies that never
-  /// shadow-serve pay nothing.
-  core::LoadMap shadowLoads{0};
-};
-
-/// Executes requests online, maintaining per-object copy subtrees and
-/// accumulating the exact communication load of services, updates and
-/// migrations.
-class OnlineTreeStrategy {
+/// The registered `tree-counters` policy: executes requests online,
+/// maintaining per-object copy subtrees and charging the exact
+/// communication load of services, updates and migrations into the
+/// caller's LoadMap.
+class OnlineTreeStrategy final : public OnlinePolicy {
  public:
   /// Copies start on `initialLocation` (one copy per object); pass a
   /// processor, e.g. tree.processors().front().
@@ -82,27 +50,38 @@ class OnlineTreeStrategy {
                      net::NodeId initialLocation,
                      const OnlineOptions& options = {});
 
-  /// Serves one request, updating loads and the copy set.
-  void serve(const Request& request);
+  [[nodiscard]] std::string_view name() const override {
+    return "tree-counters";
+  }
 
-  /// Shard-serving entry point for the epoch server: serves `requests`
-  /// (each of which must target object `x`, in arrival order) against x's
-  /// copy-subtree state, accumulating load into the caller's `loads`
-  /// instead of the strategy-owned map. Calls for distinct objects touch
-  /// disjoint state and only read the shared tree, so the epoch server
-  /// may run them concurrently — one worker per chunk of objects, each
-  /// with its own scratch and LoadMap.
+  /// Renders only non-default options, so a default-configured
+  /// instance's spec is comma-free and embeds as an adaptive member.
+  [[nodiscard]] std::string spec() const override;
+
+  /// Serves `requests` (each of which must target object `x`, in arrival
+  /// order) against x's copy-subtree state, accumulating load into the
+  /// caller's `loads`. Calls for distinct objects touch disjoint state
+  /// and only read the shared tree, so the epoch server may run them
+  /// concurrently — one worker per chunk of objects, each with its own
+  /// scratch and LoadMap.
   ///
   /// When `acc` is non-null and the shard is at least
   /// core::kFlatLoadCutover requests (the adaptive cutover — tiny shards
   /// stay on the per-edge walk), service and update paths are charged
   /// through the difference-counting accumulator and flushed into
   /// `loads` before returning. Either route produces bit-identical
-  /// integer loads; `acc` must be per-worker, built over this strategy's
-  /// flatView().
+  /// integer loads; `acc` must be per-worker, built over flatView().
   ShardStats serveShard(ObjectId x, std::span<const Request> requests,
                         core::LoadMap& loads, ServeScratch& scratch,
-                        core::FlatLoadAccumulator* acc = nullptr);
+                        core::FlatLoadAccumulator* acc = nullptr) override;
+
+  /// The §4 handoff target of the counter scheme: the nibble placement
+  /// of the aggregated frequencies (connected copy sets by Theorem 3.1,
+  /// so the counter machinery resumes seamlessly), computed lazily one
+  /// object row at a time.
+  [[nodiscard]] std::unique_ptr<HandoffPass> beginHandoff(
+      std::shared_ptr<const workload::Workload> aggregated,
+      int workers) override;
 
   /// Replaces x's copy set with `locations` (non-empty; must form a
   /// connected subtree, e.g. a nibble copy set) and resets x's read
@@ -110,36 +89,31 @@ class OnlineTreeStrategy {
   /// re-placement pass. Migration traffic is accounted by the caller.
   /// Per-object like serveShard, so safe to call concurrently for
   /// distinct objects.
-  void resetCopySet(ObjectId x, std::span<const net::NodeId> locations);
-
-  /// Loads accumulated so far (service + update + migration traffic).
-  [[nodiscard]] const core::LoadMap& loads() const noexcept { return loads_; }
+  void resetCopySet(ObjectId x,
+                    std::span<const net::NodeId> locations) override;
 
   /// The shared preorder flattening of the tree; per-worker
   /// FlatLoadAccumulators for serveShard are built over this view.
-  [[nodiscard]] const core::FlatTreeView& flatView() const noexcept {
+  [[nodiscard]] const core::FlatTreeView& flatView() const noexcept override {
     return flat_;
   }
 
   /// Current copy locations of `x`, ascending.
-  [[nodiscard]] std::vector<net::NodeId> copySet(ObjectId x) const;
+  [[nodiscard]] std::vector<net::NodeId> copySet(ObjectId x) const override;
 
-  /// Writes the per-object counter state (copy locations in incremental
-  /// order, anchor, nonzero read counters) as whitespace-separated text.
-  /// restoreState on a freshly built strategy over the same topology
-  /// reproduces bit-identical serving from that point on.
-  void serializeState(std::ostream& os) const;
+  /// policy.threshold, policy.contractOnWrite, policy.handoffs.
+  [[nodiscard]] std::map<std::string, double> metrics() const override;
+
+  /// Writes the handoff count and the per-object counter state (copy
+  /// locations in incremental order, anchor, nonzero read counters) as
+  /// whitespace-separated text. restoreState on a freshly built
+  /// strategy over the same topology reproduces bit-identical serving
+  /// from that point on.
+  void serializeState(std::ostream& os) const override;
 
   /// Restores state written by serializeState; throws
   /// std::invalid_argument on malformed text or out-of-range values.
-  void restoreState(std::istream& in);
-
-  /// Total number of replications performed (copy-set extensions).
-  [[nodiscard]] Count replications() const noexcept { return replications_; }
-  /// Total number of copy deletions from write contractions.
-  [[nodiscard]] Count invalidations() const noexcept {
-    return invalidations_;
-  }
+  void restoreState(std::istream& in) override;
 
  private:
   struct ObjectState {
@@ -175,10 +149,7 @@ class OnlineTreeStrategy {
   core::FlatTreeView flat_;
   OnlineOptions options_;
   std::vector<ObjectState> objects_;
-  core::LoadMap loads_;
-  Count replications_ = 0;
-  Count invalidations_ = 0;
-  ServeScratch scratch_;  ///< backs the sequential serve() path
+  std::uint64_t handoffs_ = 0;
 };
 
 }  // namespace hbn::dynamic

@@ -5,14 +5,14 @@
 #include <functional>
 #include <istream>
 #include <map>
-#include <mutex>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
-#include "hbn/core/nibble.h"
+#include "hbn/core/placement.h"
 #include "hbn/dynamic/adaptive_policy.h"
+#include "hbn/dynamic/online_strategy.h"
+#include "hbn/engine/strategy.h"
 #include "hbn/net/steiner.h"
 
 namespace hbn::dynamic {
@@ -150,8 +150,10 @@ void expectStateHeader(std::istream& in, std::string_view name) {
 // Handoff passes — the per-object views of a §4 re-placement.
 // ---------------------------------------------------------------------------
 
-/// Default pass: the whole handoff placement materialised up front.
-/// target() is then a lookup, so application order cannot matter.
+/// static-policy pass: the nested strategy is monolithic (it may
+/// optimise across objects), so beginHandoff computes the whole
+/// placement up front and target() is a lookup — application order
+/// cannot matter and no matrix row is read after the trigger.
 class EagerHandoffPass final : public HandoffPass {
  public:
   explicit EagerHandoffPass(core::Placement placement)
@@ -165,173 +167,6 @@ class EagerHandoffPass final : public HandoffPass {
 
  private:
   core::Placement placement_;
-};
-
-/// tree-counters pass: one O(|V|) nibbleObjectInto per queried object —
-/// exactly the per-object kernel the registered "nibble" strategy runs
-/// under its parallel executor, so lazy targets are bit-identical to
-/// the monolithic handoffPlacement row for the same snapshot, at
-/// per-touch (not per-handoff) cost.
-class NibbleHandoffPass final : public HandoffPass {
- public:
-  NibbleHandoffPass(const net::Tree& tree,
-                    std::shared_ptr<const workload::Workload> aggregated,
-                    int workers)
-      : tree_(&tree),
-        aggregated_(std::move(aggregated)),
-        slots_(static_cast<std::size_t>(std::max(workers, 1))) {}
-
-  [[nodiscard]] std::vector<net::NodeId> target(ObjectId x,
-                                                int worker) override {
-    if (worker < 0 || static_cast<std::size_t>(worker) >= slots_.size()) {
-      throw std::out_of_range("HandoffPass::target: worker slot");
-    }
-    WorkerSlot& slot = slots_[static_cast<std::size_t>(worker)];
-    core::nibbleObjectInto(*tree_, *aggregated_, x, slot.scratch,
-                           slot.result);
-    return slot.result.placement.locations();
-  }
-
- private:
-  struct WorkerSlot {
-    core::NibbleScratch scratch;
-    core::NibbleObjectResult result;
-  };
-
-  const net::Tree* tree_;
-  std::shared_ptr<const workload::Workload> aggregated_;
-  std::vector<WorkerSlot> slots_;
-};
-
-/// static-policy pass: the nested strategy is monolithic (it may
-/// optimise across objects), so the full placement is memoised on the
-/// first target() call — concurrent first-touchers rendezvous on the
-/// std::once_flag and later queries are lookups. The lump moves off the
-/// drift epoch onto the first post-handoff touch.
-class MemoisedHandoffPass final : public HandoffPass {
- public:
-  using Compute = std::function<core::Placement()>;
-
-  explicit MemoisedHandoffPass(Compute compute)
-      : compute_(std::move(compute)) {}
-
-  [[nodiscard]] std::vector<net::NodeId> target(ObjectId x,
-                                                int /*worker*/) override {
-    std::call_once(once_, [this] { placement_ = compute_(); });
-    checkObjectId(x, placement_.objects.size(), "HandoffPass::target");
-    return placement_.objects[static_cast<std::size_t>(x)].locations();
-  }
-
- private:
-  Compute compute_;
-  std::once_flag once_;
-  core::Placement placement_;
-};
-
-// ---------------------------------------------------------------------------
-// tree-counters — the FOCS'97 counter scheme, wrapping OnlineTreeStrategy.
-// ---------------------------------------------------------------------------
-
-class TreeCountersPolicy final : public OnlinePolicy {
- public:
-  TreeCountersPolicy(const net::RootedTree& rooted, int numObjects,
-                     net::NodeId initialLocation,
-                     const OnlineOptions& options)
-      : strategy_(rooted, numObjects, initialLocation, options),
-        options_(options),
-        nibble_(engine::StrategyRegistry::global().create("nibble")) {}
-
-  [[nodiscard]] std::string_view name() const override {
-    return "tree-counters";
-  }
-
-  [[nodiscard]] std::string spec() const override {
-    // Minimal rendering: only non-default options, so the canonical
-    // spec of a default-configured instance is comma-free and can be
-    // embedded as an adaptive member.
-    const OnlineOptions defaults;
-    std::string out = "tree-counters";
-    char sep = ':';
-    if (options_.replicationThreshold != defaults.replicationThreshold) {
-      out += sep;
-      sep = ',';
-      out += "threshold=";
-      out += std::to_string(options_.replicationThreshold);
-    }
-    if (options_.contractOnWrite != defaults.contractOnWrite) {
-      out += sep;
-      sep = ',';
-      out += "contract=";
-      out += options_.contractOnWrite ? '1' : '0';
-    }
-    return out;
-  }
-
-  ShardStats serveShard(ObjectId x, std::span<const Request> requests,
-                        core::LoadMap& loads, ServeScratch& scratch,
-                        core::FlatLoadAccumulator* acc) override {
-    return strategy_.serveShard(x, requests, loads, scratch, acc);
-  }
-
-  [[nodiscard]] std::vector<net::NodeId> copySet(ObjectId x) const override {
-    return strategy_.copySet(x);
-  }
-
-  [[nodiscard]] const core::FlatTreeView& flatView() const noexcept override {
-    return strategy_.flatView();
-  }
-
-  [[nodiscard]] core::Placement handoffPlacement(
-      const workload::Workload& aggregated, int threads) override {
-    // The §4 handoff target of the counter scheme is the nibble
-    // placement of the aggregated frequencies (connected copy sets by
-    // Theorem 3.1, so the counter machinery resumes seamlessly).
-    engine::Context ctx;
-    ctx.threads = threads;
-    ++handoffs_;
-    return nibble_->place(strategy_.flatView().rooted().tree(), aggregated,
-                          ctx);
-  }
-
-  [[nodiscard]] std::unique_ptr<HandoffPass> beginHandoff(
-      std::shared_ptr<const workload::Workload> aggregated,
-      int workers) override {
-    ++handoffs_;
-    return std::make_unique<NibbleHandoffPass>(
-        strategy_.flatView().rooted().tree(), std::move(aggregated),
-        workers);
-  }
-
-  void resetCopySet(ObjectId x,
-                    std::span<const net::NodeId> locations) override {
-    strategy_.resetCopySet(x, locations);
-  }
-
-  [[nodiscard]] std::map<std::string, double> metrics() const override {
-    return {{"policy.threshold",
-             static_cast<double>(options_.replicationThreshold)},
-            {"policy.contractOnWrite", options_.contractOnWrite ? 1.0 : 0.0},
-            {"policy.handoffs", static_cast<double>(handoffs_)}};
-  }
-
-  void serializeState(std::ostream& os) const override {
-    os << "tree-counters v1 " << handoffs_ << '\n';
-    strategy_.serializeState(os);
-  }
-
-  void restoreState(std::istream& in) override {
-    expectStateHeader(in, "tree-counters");
-    if (!(in >> handoffs_)) {
-      throw std::invalid_argument("tree-counters state: bad handoff count");
-    }
-    strategy_.restoreState(in);
-  }
-
- private:
-  OnlineTreeStrategy strategy_;
-  OnlineOptions options_;
-  std::unique_ptr<engine::PlacementStrategy> nibble_;
-  std::uint64_t handoffs_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -388,29 +223,18 @@ class StaticPolicy final : public OnlinePolicy {
     return flat_;
   }
 
-  [[nodiscard]] core::Placement handoffPlacement(
-      const workload::Workload& aggregated, int threads) override {
-    engine::Context ctx;
-    ctx.threads = threads;
-    ++handoffs_;
-    return placement_->place(rooted_->tree(), aggregated, ctx);
-  }
-
   [[nodiscard]] std::unique_ptr<HandoffPass> beginHandoff(
       std::shared_ptr<const workload::Workload> aggregated,
       int workers) override {
+    // The nested strategy reads the whole matrix, which the server only
+    // holds stable until it serves again, so place now — on the serve
+    // thread, where the worker budget reaches the pool.
+    engine::Context ctx;
+    ctx.threads = workers;
+    core::Placement placement =
+        placement_->place(rooted_->tree(), *aggregated, ctx);
     ++handoffs_;
-    // The memoised pass reads the WHOLE matrix at first-target time,
-    // possibly epochs after the trigger — so it cannot lean on the
-    // row-stability guarantee row-local passes get for free and must
-    // freeze the frequencies now.
-    auto frozen = std::make_shared<const workload::Workload>(*aggregated);
-    return std::make_unique<MemoisedHandoffPass>(
-        [this, frozen = std::move(frozen), workers] {
-          engine::Context ctx;
-          ctx.threads = workers;
-          return placement_->place(rooted_->tree(), *frozen, ctx);
-        });
+    return std::make_unique<EagerHandoffPass>(std::move(placement));
   }
 
   void resetCopySet(ObjectId x,
@@ -531,8 +355,8 @@ class FixedConfigPolicy : public OnlinePolicy {
 
   [[nodiscard]] bool migratable() const noexcept override { return false; }
 
-  [[nodiscard]] core::Placement handoffPlacement(const workload::Workload&,
-                                                 int) override {
+  [[nodiscard]] std::unique_ptr<HandoffPass> beginHandoff(
+      std::shared_ptr<const workload::Workload>, int) override {
     throw std::logic_error(std::string(name()) + " does not migrate");
   }
 
@@ -625,12 +449,6 @@ std::unique_ptr<OnlinePolicyFactory> makeFactory(LambdaPolicyFactory::Fn fn) {
 
 }  // namespace
 
-std::unique_ptr<HandoffPass> OnlinePolicy::beginHandoff(
-    std::shared_ptr<const workload::Workload> aggregated, int workers) {
-  return std::make_unique<EagerHandoffPass>(
-      handoffPlacement(*aggregated, workers));
-}
-
 void applyHandoffTarget(OnlinePolicy& policy, ObjectId x,
                         std::span<const net::NodeId> target,
                         core::FlatLoadAccumulator& acc,
@@ -647,13 +465,6 @@ void applyHandoffTarget(OnlinePolicy& policy, ObjectId x,
   terminals.insert(terminals.end(), target.begin(), target.end());
   acc.chargeSteiner(terminals, 1, migration);
   policy.resetCopySet(x, target);
-}
-
-std::string treeCountersSpec(const OnlineOptions& options) {
-  std::ostringstream oss;
-  oss << "tree-counters:threshold=" << options.replicationThreshold
-      << ",contract=" << (options.contractOnWrite ? 1 : 0);
-  return oss.str();
 }
 
 OnlinePolicyRegistry& OnlinePolicyRegistry::global() {
@@ -686,7 +497,7 @@ void registerBuiltinPolicies(OnlinePolicyRegistry& registry) {
         return makeFactory([opts](const net::RootedTree& rooted,
                                   int numObjects,
                                   net::NodeId initialLocation) {
-          return std::make_unique<TreeCountersPolicy>(
+          return std::make_unique<OnlineTreeStrategy>(
               rooted, numObjects, initialLocation, opts);
         });
       },

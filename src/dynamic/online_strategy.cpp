@@ -4,10 +4,50 @@
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <utility>
 
-#include "hbn/net/steiner.h"
+#include "hbn/core/nibble.h"
 
 namespace hbn::dynamic {
+namespace {
+
+/// tree-counters pass: one O(|V|) nibbleObjectInto per queried object —
+/// exactly the per-object kernel the registered "nibble" strategy runs
+/// under its parallel executor, reading only row x, so lazy targets are
+/// bit-identical to the nibble placement of the trigger-time matrix at
+/// per-touch (not per-handoff) cost.
+class NibbleHandoffPass final : public HandoffPass {
+ public:
+  NibbleHandoffPass(const net::Tree& tree,
+                    std::shared_ptr<const workload::Workload> aggregated,
+                    int workers)
+      : tree_(&tree),
+        aggregated_(std::move(aggregated)),
+        slots_(static_cast<std::size_t>(std::max(workers, 1))) {}
+
+  [[nodiscard]] std::vector<net::NodeId> target(ObjectId x,
+                                                int worker) override {
+    if (worker < 0 || static_cast<std::size_t>(worker) >= slots_.size()) {
+      throw std::out_of_range("HandoffPass::target: worker slot");
+    }
+    WorkerSlot& slot = slots_[static_cast<std::size_t>(worker)];
+    core::nibbleObjectInto(*tree_, *aggregated_, x, slot.scratch,
+                           slot.result);
+    return slot.result.placement.locations();
+  }
+
+ private:
+  struct WorkerSlot {
+    core::NibbleScratch scratch;
+    core::NibbleObjectResult result;
+  };
+
+  const net::Tree* tree_;
+  std::shared_ptr<const workload::Workload> aggregated_;
+  std::vector<WorkerSlot> slots_;
+};
+
+}  // namespace
 
 OnlineTreeStrategy::OnlineTreeStrategy(const net::RootedTree& rooted,
                                        int numObjects,
@@ -15,8 +55,7 @@ OnlineTreeStrategy::OnlineTreeStrategy(const net::RootedTree& rooted,
                                        const OnlineOptions& options)
     : rooted_(&rooted),
       flat_(rooted),
-      options_(options),
-      loads_(rooted.tree().edgeCount()) {
+      options_(options) {
   if (numObjects < 1) {
     throw std::invalid_argument("OnlineTreeStrategy: numObjects >= 1");
   }
@@ -244,18 +283,6 @@ void OnlineTreeStrategy::serveOne(ObjectState& state, const Request& request,
   }
 }
 
-void OnlineTreeStrategy::serve(const Request& request) {
-  if (request.object < 0 ||
-      request.object >= static_cast<ObjectId>(objects_.size())) {
-    throw std::out_of_range("serve: object id");
-  }
-  ObjectState& state = objects_[static_cast<std::size_t>(request.object)];
-  ShardStats stats;
-  serveOne(state, request, loads_, stats, scratch_, nullptr);
-  replications_ += stats.replications;
-  invalidations_ += stats.invalidations;
-}
-
 ShardStats OnlineTreeStrategy::serveShard(ObjectId x,
                                           std::span<const Request> requests,
                                           core::LoadMap& loads,
@@ -277,6 +304,39 @@ ShardStats OnlineTreeStrategy::serveShard(ObjectId x,
   }
   if (acc) acc->flush(loads);
   return stats;
+}
+
+std::string OnlineTreeStrategy::spec() const {
+  const OnlineOptions defaults;
+  std::string out = "tree-counters";
+  char sep = ':';
+  if (options_.replicationThreshold != defaults.replicationThreshold) {
+    out += sep;
+    sep = ',';
+    out += "threshold=";
+    out += std::to_string(options_.replicationThreshold);
+  }
+  if (options_.contractOnWrite != defaults.contractOnWrite) {
+    out += sep;
+    sep = ',';
+    out += "contract=";
+    out += options_.contractOnWrite ? '1' : '0';
+  }
+  return out;
+}
+
+std::unique_ptr<HandoffPass> OnlineTreeStrategy::beginHandoff(
+    std::shared_ptr<const workload::Workload> aggregated, int workers) {
+  ++handoffs_;
+  return std::make_unique<NibbleHandoffPass>(rooted_->tree(),
+                                             std::move(aggregated), workers);
+}
+
+std::map<std::string, double> OnlineTreeStrategy::metrics() const {
+  return {{"policy.threshold",
+           static_cast<double>(options_.replicationThreshold)},
+          {"policy.contractOnWrite", options_.contractOnWrite ? 1.0 : 0.0},
+          {"policy.handoffs", static_cast<double>(handoffs_)}};
 }
 
 void OnlineTreeStrategy::resetCopySet(ObjectId x,
@@ -317,6 +377,7 @@ void OnlineTreeStrategy::serializeState(std::ostream& os) const {
   // may hold duplicates and already-reset edges in a live strategy;
   // emitting the deduplicated nonzero set restores identical counter
   // VALUES, and contraction's zeroing is idempotent over either list.
+  os << "tree-counters v1 " << handoffs_ << '\n';
   os << "objects " << objects_.size() << '\n';
   for (std::size_t x = 0; x < objects_.size(); ++x) {
     const ObjectState& state = objects_[x];
@@ -341,6 +402,11 @@ void OnlineTreeStrategy::restoreState(std::istream& in) {
     throw std::invalid_argument("tree-counters state: " + why);
   };
   std::string tag;
+  std::string version;
+  if (!(in >> tag >> version) || tag != "tree-counters" || version != "v1") {
+    fail("expected 'tree-counters v1' header");
+  }
+  if (!(in >> handoffs_)) fail("bad handoff count");
   std::size_t count = 0;
   if (!(in >> tag >> count) || tag != "objects" || count != objects_.size()) {
     fail("bad objects header");

@@ -288,9 +288,10 @@ void EpochServer::beginPass(int workers, std::uint64_t epoch) {
   // after this trigger, and because a worker migrates x before it
   // serves and aggregates x, x's row is still bit-equal to its
   // trigger-time value at that moment. Row-local passes (nibble)
-  // therefore need no snapshot at all; a policy whose pass reads other
-  // rows at target() time must copy inside beginHandoff (see the
-  // HandoffPass contract) — other workers are writing those rows.
+  // therefore need no snapshot at all; a policy that needs other rows
+  // computes from them inside beginHandoff, here on the serve thread
+  // (see the HandoffPass contract) — other workers write those rows
+  // once serving resumes.
   const std::shared_ptr<const workload::Workload> snapshot(
       std::shared_ptr<const workload::Workload>(), &aggregated_);
   // One attempt: beginHandoff is deterministic over the aggregated

@@ -58,7 +58,9 @@ class Accumulator {
 /// reservoir estimate the stream's percentiles without storing it.
 /// Deterministic given the seed and the add() sequence. Used by the
 /// epoch server to keep request-latency p50/p99/p999 over
-/// millions-of-requests runs in O(capacity) memory.
+/// millions-of-requests runs in O(min(capacity, seen)) memory: the
+/// reservoir grows with the traffic up to its capacity and is never
+/// reserved up front, so a huge capacity costs nothing until filled.
 class ReservoirSampler {
  public:
   /// `capacity` = 0 disables sampling (add() becomes a counter only).

@@ -66,9 +66,7 @@ double percentileSorted(std::span<const double> sorted, double q) {
 }
 
 ReservoirSampler::ReservoirSampler(std::size_t capacity, std::uint64_t seed)
-    : capacity_(capacity), rng_(seed) {
-  samples_.reserve(capacity_);
-}
+    : capacity_(capacity), rng_(seed) {}
 
 void ReservoirSampler::add(double value) {
   ++seen_;

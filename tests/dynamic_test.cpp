@@ -1,13 +1,17 @@
 // Tests for the online (dynamic) strategy and its competitive harness.
+// The strategy is served one request at a time through
+// SequentialReference, in arrival order.
 #include <cmath>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "hbn/dynamic/harness.h"
+#include "hbn/dynamic/online_strategy.h"
 #include "hbn/net/generators.h"
 #include "hbn/util/rng.h"
 #include "hbn/workload/generators.h"
+#include "sequential_reference.h"
 
 namespace hbn::dynamic {
 namespace {
@@ -18,9 +22,10 @@ TEST(OnlineStrategy, FirstReadTravelsToInitialCopy) {
   const Tree t = net::makeStar(3);
   const net::RootedTree rooted(t, t.defaultRoot());
   OnlineTreeStrategy strategy(rooted, 1, t.processors().front());
-  strategy.serve(Request{0, 2, false});
+  SequentialReference served(strategy);
+  served.serve(Request{0, 2, false});
   // Path 2 -> bus -> 1 loads two edges by 1 each.
-  EXPECT_EQ(strategy.loads().totalLoad(), 2);
+  EXPECT_EQ(served.loads.totalLoad(), 2);
 }
 
 TEST(OnlineStrategy, RepeatedReadsTriggerReplication) {
@@ -29,8 +34,9 @@ TEST(OnlineStrategy, RepeatedReadsTriggerReplication) {
   OnlineOptions options;
   options.replicationThreshold = 2;
   OnlineTreeStrategy strategy(rooted, 1, 1, options);
-  for (int i = 0; i < 6; ++i) strategy.serve(Request{0, 2, false});
-  EXPECT_GT(strategy.replications(), 0);
+  SequentialReference served(strategy);
+  for (int i = 0; i < 6; ++i) served.serve(Request{0, 2, false});
+  EXPECT_GT(served.replications, 0);
   const auto copies = strategy.copySet(0);
   // The reader's node eventually holds a copy: later reads are local.
   EXPECT_NE(std::find(copies.begin(), copies.end(), 2), copies.end());
@@ -42,10 +48,11 @@ TEST(OnlineStrategy, LocalReadsAreFreeAfterReplication) {
   OnlineOptions options;
   options.replicationThreshold = 1;
   OnlineTreeStrategy strategy(rooted, 1, 1, options);
-  for (int i = 0; i < 3; ++i) strategy.serve(Request{0, 2, false});
-  const auto loadAfterWarmup = strategy.loads().totalLoad();
-  strategy.serve(Request{0, 2, false});
-  EXPECT_EQ(strategy.loads().totalLoad(), loadAfterWarmup);  // served locally
+  SequentialReference served(strategy);
+  for (int i = 0; i < 3; ++i) served.serve(Request{0, 2, false});
+  const auto loadAfterWarmup = served.loads.totalLoad();
+  served.serve(Request{0, 2, false});
+  EXPECT_EQ(served.loads.totalLoad(), loadAfterWarmup);  // served locally
 }
 
 TEST(OnlineStrategy, WriteContractsCopySet) {
@@ -54,15 +61,16 @@ TEST(OnlineStrategy, WriteContractsCopySet) {
   OnlineOptions options;
   options.replicationThreshold = 1;
   OnlineTreeStrategy strategy(rooted, 1, 1, options);
+  SequentialReference served(strategy);
   for (const net::NodeId reader : {2, 3, 4}) {
     for (int i = 0; i < 3; ++i) {
-      strategy.serve(Request{0, reader, false});
+      served.serve(Request{0, reader, false});
     }
   }
   EXPECT_GT(strategy.copySet(0).size(), 1u);
-  strategy.serve(Request{0, 2, true});
+  served.serve(Request{0, 2, true});
   EXPECT_EQ(strategy.copySet(0).size(), 1u);
-  EXPECT_GT(strategy.invalidations(), 0);
+  EXPECT_GT(served.invalidations, 0);
 }
 
 TEST(OnlineStrategy, CopySetStaysConnected) {
@@ -72,13 +80,14 @@ TEST(OnlineStrategy, CopySetStaysConnected) {
   OnlineOptions options;
   options.replicationThreshold = 1;
   OnlineTreeStrategy strategy(rooted, 2, t.processors().front(), options);
+  SequentialReference served(strategy);
   for (int i = 0; i < 200; ++i) {
     const Request request{
         static_cast<workload::ObjectId>(rng.nextBelow(2)),
         t.processors()[static_cast<std::size_t>(
             rng.nextBelow(t.processors().size()))],
         rng.nextBool(0.2)};
-    strategy.serve(request);
+    served.serve(request);
     // Connectivity check of copy set 0 via BFS.
     const auto copies = strategy.copySet(0);
     ASSERT_FALSE(copies.empty());
@@ -130,7 +139,7 @@ TEST(Harness, CompetitiveRatioModestOnRandomWorkloads) {
     const workload::Workload load = workload::generate(
         static_cast<workload::Profile>(trial % 6), t, params, rng);
     const auto requests = sequenceFromWorkload(load, rng);
-    const CompetitiveResult result = runCompetitive(rooted, 4, requests);
+    const CompetitiveResult result = runCompetitive(rooted, 4, requests, "tree-counters");
     EXPECT_GT(result.onlineCongestion, 0.0);
     if (result.offlineLowerBound > 0.0) {
       // Loose sanity bound; the bench reports the measured distribution.
@@ -159,7 +168,7 @@ TEST(Harness, RatioIsTrueRatioForSubUnitLowerBounds) {
   // bound of the aggregated frequencies is 0.5 as well.
   const std::vector<Request> requests = {{0, writer, true},
                                          {0, reader, false}};
-  const CompetitiveResult result = runCompetitive(rooted, 1, requests);
+  const CompetitiveResult result = runCompetitive(rooted, 1, requests, "tree-counters");
   ASSERT_GT(result.offlineLowerBound, 0.0);
   ASSERT_LT(result.offlineLowerBound, 1.0);
   EXPECT_DOUBLE_EQ(result.ratio,
@@ -174,12 +183,12 @@ TEST(Harness, RatioGuardsZeroLowerBoundExplicitly) {
   // the per-edge bound is zero — the ratio must be reported as infinite,
   // not silently divided by 1.
   const CompetitiveResult paying =
-      runCompetitive(rooted, 1, {{0, 2, false}});
+      runCompetitive(rooted, 1, {{0, 2, false}}, "tree-counters");
   EXPECT_EQ(paying.offlineLowerBound, 0.0);
   EXPECT_GT(paying.onlineCongestion, 0.0);
   EXPECT_TRUE(std::isinf(paying.ratio));
   // No requests at all: trivially optimal.
-  const CompetitiveResult idle = runCompetitive(rooted, 1, {});
+  const CompetitiveResult idle = runCompetitive(rooted, 1, {}, "tree-counters");
   EXPECT_DOUBLE_EQ(idle.ratio, 1.0);
 }
 

@@ -1,7 +1,8 @@
 // Tests for the unified online-policy engine: registry specs (shared
 // grammar, nested strategy specs, error vocabulary), the behaviour of
 // every built-in policy against hand-computable oracles, tree-counters
-// bit-identity with the underlying counter strategy, and the epoch
+// bit-identity with the counter strategy served one request at a time
+// in arrival order, and the epoch
 // server's policy plumbing (migratable() gating, report metrics).
 #include <algorithm>
 #include <map>
@@ -13,11 +14,14 @@
 
 #include "hbn/dynamic/harness.h"
 #include "hbn/dynamic/online_policy.h"
+#include "hbn/dynamic/online_strategy.h"
+#include "hbn/engine/strategy.h"
 #include "hbn/net/generators.h"
 #include "hbn/net/steiner.h"
 #include "hbn/serve/epoch_server.h"
 #include "hbn/serve/request_stream.h"
 #include "hbn/util/rng.h"
+#include "sequential_reference.h"
 
 namespace hbn::dynamic {
 namespace {
@@ -176,15 +180,17 @@ TEST(OnlinePolicy, TreeCountersMatchesUnderlyingStrategy) {
   options.replicationThreshold = 3;
   OnlineTreeStrategy strategy(rooted, numObjects, tree.processors().front(),
                               options);
-  for (const Request& request : requests) strategy.serve(request);
+  SequentialReference sequential(strategy);
+  for (const Request& request : requests) sequential.serve(request);
 
-  const auto policy = buildPolicy(treeCountersSpec(options), rooted,
+  const auto policy = buildPolicy("tree-counters:threshold=3", rooted,
                                   numObjects, tree.processors().front());
   EXPECT_EQ(policy->name(), "tree-counters");
+  EXPECT_EQ(policy->spec(), strategy.spec());
   const LoadMap loads =
       serveAll(*policy, tree, numObjects, requests, /*useAccumulator=*/true);
   for (net::EdgeId e = 0; e < tree.edgeCount(); ++e) {
-    EXPECT_EQ(loads.edgeLoad(e), strategy.loads().edgeLoad(e)) << "edge "
+    EXPECT_EQ(loads.edgeLoad(e), sequential.loads.edgeLoad(e)) << "edge "
                                                                << e;
   }
   for (ObjectId x = 0; x < numObjects; ++x) {
@@ -283,21 +289,30 @@ TEST(OnlinePolicy, StaticServesFrozenPossiblyDisconnectedCopySets) {
           << "edge " << e << " acc=" << useAcc;
     }
   }
-  // The handoff placement comes from the nested strategy and covers
-  // every object.
-  workload::Workload aggregated(numObjects, tree.nodeCount());
+  // A handoff pass routes every object to the nested strategy's
+  // placement of the trigger-time frequencies.
+  auto aggregated =
+      std::make_shared<workload::Workload>(numObjects, tree.nodeCount());
   for (const Request& request : requests) {
     if (request.isWrite) {
-      aggregated.addWrites(request.object, request.origin, 1);
+      aggregated->addWrites(request.object, request.origin, 1);
     } else {
-      aggregated.addReads(request.object, request.origin, 1);
+      aggregated->addReads(request.object, request.origin, 1);
     }
   }
-  const core::Placement placement = policy->handoffPlacement(aggregated, 1);
-  ASSERT_EQ(placement.numObjects(), numObjects);
-  for (const auto& object : placement.objects) {
-    EXPECT_FALSE(object.locations().empty());
+  engine::Context ctx;
+  const core::Placement placement =
+      engine::StrategyRegistry::global().create("extended-nibble")->place(
+          tree, *aggregated, ctx);
+  const auto pass = policy->beginHandoff(aggregated, 2);
+  for (ObjectId x = 0; x < numObjects; ++x) {
+    const std::vector<net::NodeId> target = pass->target(x, 1);
+    EXPECT_FALSE(target.empty()) << "object " << x;
+    EXPECT_EQ(target,
+              placement.objects[static_cast<std::size_t>(x)].locations())
+        << "object " << x;
   }
+  EXPECT_EQ(policy->metrics().at("policy.handoffs"), 1.0);
 }
 
 TEST(OnlinePolicy, RunCompetitiveAcceptsPolicySpecs) {
@@ -307,16 +322,14 @@ TEST(OnlinePolicy, RunCompetitiveAcceptsPolicySpecs) {
   const std::vector<Request> requests =
       randomRequests(tree, 4, 2000, 0.2, rng);
 
-  // The OnlineOptions overload is exactly the tree-counters spec.
-  OnlineOptions options;
-  options.replicationThreshold = 2;
-  const CompetitiveResult viaOptions =
-      runCompetitive(rooted, 4, requests, options);
-  const CompetitiveResult viaSpec =
-      runCompetitive(rooted, 4, requests, treeCountersSpec(options));
-  EXPECT_EQ(viaOptions.onlineCongestion, viaSpec.onlineCongestion);
-  EXPECT_EQ(viaOptions.replications, viaSpec.replications);
-  EXPECT_EQ(viaOptions.invalidations, viaSpec.invalidations);
+  // Spelling out the default options is the canonical spec.
+  const CompetitiveResult explicitDefaults = runCompetitive(
+      rooted, 4, requests, "tree-counters:threshold=2,contract=1");
+  const CompetitiveResult canonical =
+      runCompetitive(rooted, 4, requests, "tree-counters");
+  EXPECT_EQ(explicitDefaults.onlineCongestion, canonical.onlineCongestion);
+  EXPECT_EQ(explicitDefaults.replications, canonical.replications);
+  EXPECT_EQ(explicitDefaults.invalidations, canonical.invalidations);
 
   // Every registered policy runs through the same harness; the frozen
   // foils bracket the counter scheme's traffic profile.

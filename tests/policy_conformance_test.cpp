@@ -7,8 +7,11 @@
 //     EpochServer's edge loads and copy sets bit-for-bit;
 //   * serving is bit-identical across thread counts AND across the
 //     barrier/pipelined engines, drift passes included;
-//   * the handoff seam behaves: beginHandoff targets agree with
-//     handoffPlacement rows, resetCopySet commits and is idempotent,
+//   * a handoff pass reads only the queried object's row at target()
+//     time, the one row the server keeps stable;
+//   * the handoff seam behaves: beginHandoff targets agree with the
+//     reference placement strategy (nibble for tree-counters, the
+//     nested spec for static), resetCopySet commits and is idempotent,
 //     and non-migratable policies refuse the seam loudly;
 //   * spec() rendering is a fixed point of the registry's parser.
 // A new policy registered tomorrow is picked up automatically and must
@@ -25,6 +28,7 @@
 
 #include "hbn/dynamic/harness.h"
 #include "hbn/dynamic/online_policy.h"
+#include "hbn/engine/strategy.h"
 #include "hbn/net/generators.h"
 #include "hbn/net/steiner.h"
 #include "hbn/serve/epoch_server.h"
@@ -226,11 +230,75 @@ TEST(PolicyConformance, BitIdenticalAcrossThreadsAndEngines) {
   }
 }
 
+/// The frequency matrix of `events`, as the server aggregates it.
+std::shared_ptr<workload::Workload> aggregate(
+    const net::Tree& tree, std::span<const workload::RequestEvent> events) {
+  auto aggregated =
+      std::make_shared<workload::Workload>(kObjects, tree.nodeCount());
+  for (const workload::RequestEvent& event : events) {
+    if (event.isWrite) {
+      aggregated->addWrites(event.object, event.origin, 1);
+    } else {
+      aggregated->addReads(event.object, event.origin, 1);
+    }
+  }
+  return aggregated;
+}
+
+/// The registered placement strategy a policy's handoff targets must
+/// reproduce on the trigger-time matrix: nibble for the counter scheme
+/// (its §4 target), the nested spec for `static`. Empty for adaptive,
+/// whose targets are its members' copy sets.
+std::string referenceStrategy(const OnlinePolicy& policy) {
+  if (policy.name() == "tree-counters") return "nibble";
+  if (policy.name() == "static") {
+    const std::string spec = policy.spec();
+    const std::string prefix = "static:placement=";
+    return spec.rfind(prefix, 0) == 0 ? spec.substr(prefix.size())
+                                      : "extended-nibble";
+  }
+  return {};
+}
+
 // ---------------------------------------------------------------------------
-// Property 3: the handoff seam. Migratable policies must agree between
-// handoffPlacement rows and beginHandoff targets, and resetCopySet must
-// commit the target and be idempotent; non-migratable policies must
-// refuse resetCopySet with logic_error (the server never calls it).
+// Property 3: a handoff pass reads only row x at target(x) time. The
+// server guarantees no more: once x has migrated it serves, and its row
+// takes new traffic while later objects still ask for their targets.
+// Traffic added to row x right after target(x) must therefore leave
+// every target equal to a pass's on an untouched copy of the matrix.
+// ---------------------------------------------------------------------------
+TEST(PolicyConformance, HandoffPassReadsOnlyTheQueriedRow) {
+  const net::Tree tree = net::makeClusterNetwork(3, 4);
+  const net::RootedTree rooted(tree, tree.defaultRoot());
+  const auto events = makeEvents(tree, 53, 8'000);
+  const auto procs = tree.processors();
+  for (const std::string& spec : conformanceSpecs()) {
+    SCOPED_TRACE(spec);
+    const auto policy = buildPolicy(spec, rooted);
+    if (!policy->migratable()) continue;
+    (void)serveOracle(*policy, rooted, events);
+    const auto live = aggregate(tree, events);
+    const auto untouched = std::make_shared<const workload::Workload>(*live);
+    const auto pass = policy->beginHandoff(live, 1);
+    const auto reference = policy->beginHandoff(untouched, 1);
+    for (ObjectId x = 0; x < kObjects; ++x) {
+      const std::vector<net::NodeId> target = pass->target(x, 0);
+      // Heavy traffic from a far processor: enough to move any
+      // placement that read this row afterwards.
+      live->addReads(x, procs.back(), 1000);
+      live->addWrites(x, procs[procs.size() / 2], 100);
+      EXPECT_EQ(target, reference->target(x, 0)) << "object " << x;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Property 4: the handoff seam. Migratable policies route every object
+// to their reference strategy's placement of the trigger-time matrix
+// (when they have one), resetCopySet commits the target, and a second
+// pass on the same matrix is a fixed point; adaptive refuses a
+// resetCopySet no pass asked for. Non-migratable policies refuse the
+// seam with logic_error (the server never calls it).
 // ---------------------------------------------------------------------------
 TEST(PolicyConformance, HandoffSeamCommitsAndIsIdempotent) {
   const net::Tree tree = net::makeClusterNetwork(3, 4);
@@ -242,45 +310,56 @@ TEST(PolicyConformance, HandoffSeamCommitsAndIsIdempotent) {
     // Warm the policy so counters/windows hold real state.
     (void)serveOracle(*policy, rooted, events);
     const auto procs = tree.processors();
+    const std::shared_ptr<const workload::Workload> snapshot =
+        aggregate(tree, events);
     if (!policy->migratable()) {
       const std::vector<net::NodeId> anywhere = {procs.front()};
       EXPECT_THROW(policy->resetCopySet(0, anywhere), std::logic_error);
+      EXPECT_THROW((void)policy->beginHandoff(snapshot, 1),
+                   std::logic_error);
       continue;
     }
-    workload::Workload aggregated(kObjects, tree.nodeCount());
-    for (const workload::RequestEvent& event : events) {
-      if (event.isWrite) {
-        aggregated.addWrites(event.object, event.origin, 1);
-      } else {
-        aggregated.addReads(event.object, event.origin, 1);
-      }
+    const std::string strategy = referenceStrategy(*policy);
+    core::Placement placement;
+    if (!strategy.empty()) {
+      engine::Context ctx;
+      placement = engine::StrategyRegistry::global().create(strategy)->place(
+          tree, *snapshot, ctx);
+      ASSERT_EQ(placement.numObjects(), kObjects);
     }
-    // handoffPlacement and a beginHandoff pass opened on the same
-    // snapshot must route every object to the same locations.
-    const core::Placement placement =
-        policy->handoffPlacement(aggregated, 1);
-    ASSERT_EQ(placement.numObjects(), kObjects);
-    const std::shared_ptr<const workload::Workload> snapshot(
-        std::shared_ptr<const workload::Workload>(), &aggregated);
+    std::vector<std::vector<net::NodeId>> targets;
     const auto pass = policy->beginHandoff(snapshot, 1);
     for (ObjectId x = 0; x < kObjects; ++x) {
       const std::vector<net::NodeId> target = pass->target(x, 0);
-      EXPECT_EQ(target,
-                placement.objects[static_cast<std::size_t>(x)].locations())
-          << "object " << x;
       ASSERT_FALSE(target.empty()) << "object " << x;
-      // Committing the same target twice is a fixed point: the second
-      // reset sees locations == copySet and must leave them unchanged.
+      if (!strategy.empty()) {
+        EXPECT_EQ(target,
+                  placement.objects[static_cast<std::size_t>(x)].locations())
+            << "object " << x;
+      }
       policy->resetCopySet(x, target);
       EXPECT_EQ(policy->copySet(x), target) << "object " << x;
+      targets.push_back(target);
+    }
+    // A second pass over the same matrix re-targets every object where
+    // it already is, and committing it changes nothing.
+    const auto again = policy->beginHandoff(snapshot, 1);
+    for (ObjectId x = 0; x < kObjects; ++x) {
+      const std::vector<net::NodeId> target = again->target(x, 0);
+      EXPECT_EQ(target, targets[static_cast<std::size_t>(x)])
+          << "object " << x;
       policy->resetCopySet(x, target);
       EXPECT_EQ(policy->copySet(x), target) << "object " << x;
+    }
+    if (policy->name() == "adaptive") {
+      EXPECT_THROW(policy->resetCopySet(0, policy->copySet(0)),
+                   std::logic_error);
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// Property 4: spec() rendering is a fixed point of the registry parser
+// Property 5: spec() rendering is a fixed point of the registry parser
 // — create(p->spec())->spec() == p->spec(), so specs survive a
 // serialize → parse → serialize round trip (report files, CLI echoes).
 // ---------------------------------------------------------------------------
@@ -298,7 +377,7 @@ TEST(PolicyConformance, SpecRenderingIsAParseFixedPoint) {
 }
 
 // ---------------------------------------------------------------------------
-// Property 5: the composed spec grammar fails loudly and precisely.
+// Property 6: the composed spec grammar fails loudly and precisely.
 // Malformed specs — duplicate keys, empty member lists, nested
 // adaptive, unknown names/options, out-of-range values — must throw
 // invalid_argument (or out_of_range for numeric bounds) with a message

@@ -22,6 +22,7 @@
 #include "hbn/util/json.h"
 #include "hbn/util/rng.h"
 #include "hbn/workload/serialize.h"
+#include "sequential_reference.h"
 
 namespace hbn::serve {
 namespace {
@@ -225,8 +226,9 @@ TEST(EpochServer, MatchesSequentialOnlineStrategy) {
         rng.nextBool(0.25)});
   }
 
-  dynamic::OnlineTreeStrategy sequential(rooted, numObjects,
-                                         tree.processors().front());
+  dynamic::OnlineTreeStrategy strategy(rooted, numObjects,
+                                       tree.processors().front());
+  dynamic::SequentialReference sequential(strategy);
   for (const RequestEvent& ev : events) sequential.serve(ev);
 
   ServeOptions options;
@@ -237,14 +239,14 @@ TEST(EpochServer, MatchesSequentialOnlineStrategy) {
   const ServeReport report = server.serve(stream);
 
   EXPECT_EQ(report.totalRequests, events.size());
-  EXPECT_EQ(report.replications, sequential.replications());
-  EXPECT_EQ(report.invalidations, sequential.invalidations());
+  EXPECT_EQ(report.replications, sequential.replications);
+  EXPECT_EQ(report.invalidations, sequential.invalidations);
   for (net::EdgeId e = 0; e < tree.edgeCount(); ++e) {
-    EXPECT_EQ(server.loads().edgeLoad(e), sequential.loads().edgeLoad(e))
+    EXPECT_EQ(server.loads().edgeLoad(e), sequential.loads.edgeLoad(e))
         << "edge " << e;
   }
   for (workload::ObjectId x = 0; x < numObjects; ++x) {
-    EXPECT_EQ(server.copySet(x), sequential.copySet(x)) << "object " << x;
+    EXPECT_EQ(server.copySet(x), strategy.copySet(x)) << "object " << x;
   }
   EXPECT_EQ(server.aggregated().grandTotal(),
             static_cast<workload::Count>(events.size()));
@@ -455,7 +457,8 @@ TEST(EpochServer, PipelinedMatchesBarrierBitForBit) {
     }
   }
   params.numObjects = 64;
-  // And the static policy (memoised monolithic handoff pass) agrees too.
+  // And the static policy (whole placement computed at the trigger,
+  // looked up per object) agrees too.
   const auto runStatic = [&](bool pipeline) {
     const auto stream =
         makeGeneratedStream("skewed", tree, params, 9, 120'000);

@@ -232,6 +232,16 @@ TEST(Stats, ReservoirSamplerIsBoundedUniformAndDeterministic) {
   EXPECT_LT(a.percentile(50.0), 80'000.0);
 }
 
+TEST(Stats, ReservoirSamplerMemoryFollowsTheStreamNotTheCapacity) {
+  // A capacity no allocator can back up front (the latency reservoir's
+  // size comes straight from a CLI flag): the reservoir grows with what
+  // it is fed instead.
+  ReservoirSampler sampler(std::size_t{1} << 62);
+  for (int i = 0; i < 1000; ++i) sampler.add(static_cast<double>(i));
+  EXPECT_EQ(sampler.samples().size(), 1000u);
+  EXPECT_DOUBLE_EQ(sampler.percentile(50.0), 499.5);
+}
+
 TEST(Stats, ReservoirSamplerDisabledCountsOnly) {
   ReservoirSampler sampler(0);
   for (int i = 0; i < 10; ++i) sampler.add(1.0);

@@ -63,8 +63,6 @@ struct ServeCli {
   bool pipeline = true;            ///< pipelined (vs barrier) engine
   std::size_t latencySample = 4096;  ///< latency reservoir capacity
   double reads = 0.9;              ///< stream read fraction
-  hbn::core::Count threshold = 2;  ///< online replication threshold D
-  bool thresholdSet = false;
   std::string policy;           ///< policy spec; empty = tree-counters
   bool listPolicies = false;
   std::string jsonOut;          ///< empty = no JSON report
@@ -133,10 +131,6 @@ ServeCli parseServeCli(int argc, char** argv) {
           hbn::engine::parseUintFlag(arg, value(arg), kMaxInt));
     } else if (arg == "--reads") {
       cli.reads = parseDoubleFlag(arg, value(arg), 0.0, 1.0);
-    } else if (arg == "--threshold") {
-      cli.threshold = static_cast<hbn::core::Count>(
-          hbn::engine::parseUintFlag(arg, value(arg)));
-      cli.thresholdSet = true;
     } else if (arg == "--policy") {
       cli.policy = value(arg);
     } else if (arg == "--list-policies") {
@@ -225,9 +219,6 @@ void printUsage(std::ostream& os) {
         "                    nested strategy specs compose, e.g.\n"
         "                    static:placement=extended-nibble\n"
         "  --list-policies   list registered policies and exit\n"
-        "  --threshold D     tree-counters replication threshold\n"
-        "                    (default 2; shorthand for\n"
-        "                    --policy tree-counters:threshold=D)\n"
         "  --drift F         re-place when congestion growth > F x lower-\n"
         "                    bound growth since the last re-placement;\n"
         "                    0 disables (default 3.0)\n"
@@ -476,11 +467,6 @@ int main(int argc, char** argv) {
           "hbn_serve serves through --policy; --strategy is not accepted "
           "(nest it: --policy static:placement=SPEC)");
     }
-    if (!cli.policy.empty() && cli.thresholdSet) {
-      throw std::invalid_argument(
-          "--threshold is shorthand for tree-counters; pass "
-          "--policy tree-counters:threshold=D instead of combining them");
-    }
     if (cli.workers > 0 &&
         (!cli.checkpointDir.empty() || !cli.restoreDir.empty() ||
          !cli.inject.empty())) {
@@ -495,7 +481,7 @@ int main(int argc, char** argv) {
           "peer watchdog");
     }
     // When resuming, load the snapshot before anything else: it decides
-    // the policy (absent --policy/--threshold) and the object count for
+    // the policy (absent --policy) and the object count for
     // generated streams, so a bare `--restore D` resumes faithfully.
     std::optional<serve::CheckpointData> restored;
     if (!cli.restoreDir.empty()) {
@@ -509,13 +495,9 @@ int main(int argc, char** argv) {
       }
     }
 
-    dynamic::OnlineOptions defaults;
-    defaults.replicationThreshold = cli.threshold;
-    const std::string policySpec =
-        !cli.policy.empty() ? cli.policy
-        : (restored && !cli.thresholdSet)
-            ? restored->policySpec
-            : dynamic::treeCountersSpec(defaults);
+    const std::string policySpec = !cli.policy.empty() ? cli.policy
+                                   : restored          ? restored->policySpec
+                                                       : "tree-counters";
 
     const net::Tree tree =
         cli.shared.positional.empty()
