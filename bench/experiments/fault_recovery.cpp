@@ -2,18 +2,21 @@
 //
 // Measures what fault tolerance costs and proves what it guarantees:
 //   * checkpoint overhead — wall-clock of a checkpointed run vs an
-//     uncheckpointed baseline (min-of-K timing on both sides), as a
-//     percentage; the acceptance bound is <= 5%,
-//   * recovery — kill the server mid-run with an injected shard throw,
-//     restore the latest epoch-boundary snapshot into a fresh server,
-//     re-serve the remaining stream; reports the recovery wall-clock
-//     and checks the final load digest is bit-identical to the
+//     uncheckpointed baseline (min-of-K timing on both sides, the runs
+//     interleaved so host drift hits both alike), as a percentage; the
+//     acceptance bound is <= 5%,
+//   * recovery — kill the server mid-run with a poisoned request (an
+//     out-of-range object id, an ingest-stage failure), restore the
+//     latest epoch-boundary snapshot into a fresh server, re-serve the
+//     clean remaining stream; reports the recovery wall-clock and
+//     checks the final load digest is bit-identical to the
 //     uninterrupted run.
 #include <algorithm>
 #include <filesystem>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "experiments.h"
@@ -22,7 +25,6 @@
 #include "hbn/serve/epoch_server.h"
 #include "hbn/serve/error.h"
 #include "hbn/serve/request_stream.h"
-#include "hbn/util/fault.h"
 #include "hbn/util/table.h"
 #include "hbn/util/timer.h"
 
@@ -112,26 +114,24 @@ class FaultRecoveryExperiment final : public engine::Experiment {
       std::string digest;
       serve::ServeReport report;
     };
-    // Min-of-K wall clock (digest is run-invariant; any run's will do).
-    const auto timedRun = [&](const serve::ServeOptions& options) {
-      Timed best;
-      for (int i = 0; i < kTimingRuns; ++i) {
-        serve::EpochServer server(rooted, objects, options);
-        serve::VectorStream stream({events.begin(), events.end()});
-        util::Timer timer;
-        const serve::ServeReport report = server.serve(stream);
-        const double wall = timer.millis();
-        reporter.addTiming(wall);
-        if (i == 0 || wall < best.wallMs) {
-          best.wallMs = wall;
-          best.requestsPerSec = report.requestsPerSec;
-        }
-        if (i == 0) {
-          best.digest = digestOf(server, report);
-          best.report = report;
-        }
+    // One timed run, folded into `best` as a min-of-K wall clock (the
+    // digest is run-invariant; the first run's will do).
+    const auto timedRun = [&](const serve::ServeOptions& options,
+                              Timed& best, bool first) {
+      serve::EpochServer server(rooted, objects, options);
+      serve::VectorStream stream({events.begin(), events.end()});
+      util::Timer timer;
+      const serve::ServeReport report = server.serve(stream);
+      const double wall = timer.millis();
+      reporter.addTiming(wall);
+      if (first || wall < best.wallMs) {
+        best.wallMs = wall;
+        best.requestsPerSec = report.requestsPerSec;
       }
-      return best;
+      if (first) {
+        best.digest = digestOf(server, report);
+        best.report = report;
+      }
     };
 
     const fs::path dir =
@@ -144,12 +144,18 @@ class FaultRecoveryExperiment final : public engine::Experiment {
     // cost over inter-checkpoint serve time: the cadence here is the
     // deployment-realistic one the 5% bound is stated for. The recovery
     // phase below uses a much tighter cadence — its job is correctness,
-    // not cost.
-    const Timed baseline = timedRun(makeOptions());
+    // not cost. Baseline and checkpointed runs alternate (ABAB...), so
+    // a slow stretch of a shared host lands on both sides instead of
+    // on one block.
     serve::ServeOptions checkpointed = makeOptions();
     checkpointed.checkpointDir = (dir / "overhead").string();
     checkpointed.checkpointEvery = 128;
-    const Timed withCkpt = timedRun(checkpointed);
+    Timed baseline;
+    Timed withCkpt;
+    for (int i = 0; i < kTimingRuns; ++i) {
+      timedRun(makeOptions(), baseline, i == 0);
+      timedRun(checkpointed, withCkpt, i == 0);
+    }
     const double overheadPct =
         baseline.wallMs > 0.0
             ? (withCkpt.wallMs - baseline.wallMs) / baseline.wallMs * 100.0
@@ -157,20 +163,23 @@ class FaultRecoveryExperiment final : public engine::Experiment {
     const bool checkpointNeutral = withCkpt.digest == baseline.digest;
 
     // --- Phase 2: kill mid-run, restore, finish -------------------------
+    // The kill is a real ingest failure: one request in the middle of
+    // epoch killEpoch names an object that does not exist.
     const std::string recoveryDir = (dir / "recovery").string();
     bool killed = false;
     {
       serve::ServeOptions doomed = makeOptions();
       doomed.checkpointDir = recoveryDir;
       doomed.checkpointEvery = 8;
-      doomed.faults = util::makeFaultInjector(
-          "shard-throw@epoch" + std::to_string(killEpoch));
       serve::EpochServer server(rooted, objects, doomed);
-      serve::VectorStream stream({events.begin(), events.end()});
+      std::vector<workload::RequestEvent> poisoned = events;
+      poisoned[std::min(killEpoch * epochSize + epochSize / 2, requests - 1)]
+          .object = objects;
+      serve::VectorStream stream(std::move(poisoned));
       try {
         (void)server.serve(stream);
       } catch (const serve::Error& e) {
-        killed = e.stage() == serve::Stage::Serve;
+        killed = e.stage() == serve::Stage::Ingest && e.epoch() == killEpoch;
       }
     }
     double recoveryMs = 0.0;
@@ -232,8 +241,8 @@ class FaultRecoveryExperiment final : public engine::Experiment {
     reporter.field("digest_identical", recoveryIdentical);
     reporter.beginRow("check");
     reporter.field("claim",
-                   "kill + restore ends bit-identical to an uninterrupted "
-                   "run");
+                   "restore after a mid-run ingest failure ends "
+                   "bit-identical to an uninterrupted run");
     reporter.field("held", killed && recoveryIdentical);
     reporter.beginRow("check");
     reporter.field("claim", "checkpointing is digest-neutral");
@@ -262,9 +271,10 @@ namespace detail {
 void registerFaultRecovery(engine::ExperimentRegistry& registry) {
   registry.add(
       {"fault-recovery",
-       "fault-tolerant serving: checkpoint overhead and kill-and-restore "
-       "digest identity",
-       "E15 / robustness extension (checkpoint/restore + fault injection)",
+       "fault-tolerant serving: checkpoint overhead, and digest identity "
+       "of a restore after a mid-run ingest failure",
+       "E15 / robustness extension (checkpoint/restore after a mid-run "
+       "ingest failure)",
        "requests=N,epoch=N,objects=N"},
       [](engine::StrategyOptions& options) {
         const std::int64_t requests = options.getInt("requests", 0);

@@ -22,6 +22,19 @@ double elapsedMs(EpochBatch::Clock::time_point from,
   return std::chrono::duration<double, std::milli>(to - from).count();
 }
 
+/// Runs `body`; a serve::Error escapes unchanged, any other exception
+/// becomes Error{stage, epoch} with its message as the cause.
+template <typename Body>
+void attributeFailure(Stage stage, std::uint64_t epoch, Body&& body) {
+  try {
+    body();
+  } catch (const Error&) {
+    throw;
+  } catch (const std::exception& e) {
+    throw Error(stage, epoch, e.what());
+  }
+}
+
 }  // namespace
 
 EpochServer::EpochServer(const net::RootedTree& rooted, int numObjects,
@@ -75,7 +88,6 @@ ServeReport EpochServer::serve(RequestStream& stream) {
   // request.
   EpochIngest ingest(stream, tree, numObjects_, options_.epochSize,
                      options_.pipeline, logBase_ + log_.size());
-  util::FaultInjector* const faults = options_.faults.get();
 
   // Per-worker loads, counters, scratch and lower-bound deltas for the
   // object-parallel serve step (see hbn/serve/epoch_body.h); each
@@ -112,37 +124,30 @@ ServeReport EpochServer::serve(RequestStream& stream) {
     // Untouched objects keep their stale copy sets: they receive no
     // traffic, and deferring them is exactly what keeps the handoff lump
     // out of the epochs (they migrate on a later touch or in the
-    // end-of-stream drain).
+    // end-of-stream drain). A policy exception inside a worker is the
+    // serve stage's failure (the pool rethrows the lowest failing
+    // worker's).
     for (EpochWorker& slot : slots) slot.clear();
-    forEachTouchedChunk(
-        batch->touched, batch->offsets, workers,
-        [&](std::span<const ObjectId> chunk, int worker) {
-          // Injected worker failure, once per (epoch, worker) — empty
-          // chunks included, so every worker stays addressable — thrown
-          // as a structured Serve error, propagated deterministically by
-          // the pool (lowest worker wins) and through serve(): the kill
-          // the checkpoint recovery tests restart from.
-          if (faults != nullptr &&
-              faults->fire(util::FaultKind::ShardThrow, epochIndex, worker)) {
-            throw Error(Stage::Serve, epochIndex,
-                        "injected shard failure (worker " +
-                            std::to_string(worker) + ")");
-          }
-          EpochWorker& slot = slots[static_cast<std::size_t>(worker)];
-          for (const ObjectId x : chunk) {
-            const auto row = static_cast<std::size_t>(x);
-            if (appliedVersion_[row] < passesBegun_) {
-              applyPendingMigrations(x, worker, slot.migration, slot.acc);
+    attributeFailure(Stage::Serve, epochIndex, [&] {
+      forEachTouchedChunk(
+          batch->touched, batch->offsets, workers,
+          [&](std::span<const ObjectId> chunk, int worker) {
+            EpochWorker& slot = slots[static_cast<std::size_t>(worker)];
+            for (const ObjectId x : chunk) {
+              const auto row = static_cast<std::size_t>(x);
+              if (appliedVersion_[row] < passesBegun_) {
+                applyPendingMigrations(x, worker, slot.migration, slot.acc);
+              }
+              const std::size_t begin = batch->offsets[row];
+              const std::size_t end = batch->offsets[row + 1];
+              serveAndAggregate(
+                  *policy_, x,
+                  std::span<const RequestEvent>(
+                      batch->bucketed.data() + begin, end - begin),
+                  aggregated_, lowerBound_, slot);
             }
-            const std::size_t begin = batch->offsets[row];
-            const std::size_t end = batch->offsets[row + 1];
-            serveAndAggregate(
-                *policy_, x,
-                std::span<const RequestEvent>(batch->bucketed.data() + begin,
-                                              end - begin),
-                aggregated_, lowerBound_, slot);
-          }
-        });
+          });
+    });
 
     // Deterministic merge: integer edge loads, counters and lower-bound
     // deltas sum the same for any worker count. Serve traffic feeds both
@@ -184,7 +189,7 @@ ServeReport EpochServer::serve(RequestStream& stream) {
       if (!options_.pipeline) {
         // Barrier mode: stop the world and migrate every object inside
         // the drift epoch, like the pre-pipeline engine.
-        drainAllPasses(slots);
+        drainAllPasses(slots, epochIndex);
         retireAppliedPasses();
         record.congestion = loads_.congestion(tree);  // migration included
       }
@@ -199,17 +204,13 @@ ServeReport EpochServer::serve(RequestStream& stream) {
     // is unchanged too.
     if (!options_.checkpointDir.empty() &&
         (epochIndex + 1) % options_.checkpointEvery == 0) {
-      drainAllPasses(slots);
+      drainAllPasses(slots, epochIndex);
       retireAppliedPasses();
       record.congestion = loads_.congestion(tree);  // migration included
-      try {
+      attributeFailure(Stage::Checkpoint, epochIndex, [&] {
         writeCheckpointFile(snapshotStateAt(epochIndex + 1),
                             options_.checkpointDir);
-      } catch (const Error&) {
-        throw;
-      } catch (const std::exception& e) {
-        throw Error(Stage::Checkpoint, epochIndex, e.what());
-      }
+      });
       ++checkpointsWritten_;
       record.checkpointed = true;
     }
@@ -246,7 +247,9 @@ ServeReport EpochServer::serve(RequestStream& stream) {
   // drain is outside any epoch, so it never shows up in epoch or
   // latency percentiles — in a live system it is exactly the work that
   // keeps happening in the background after the last request.
-  drainAllPasses(slots);
+  const std::uint64_t epochs = logBase_ + log_.size();
+  const std::uint64_t lastEpoch = epochs == 0 ? 0 : epochs - 1;
+  drainAllPasses(slots, lastEpoch);
   retireAppliedPasses();
 
   // Final checkpoint: a restart resumes from exactly end-of-run state
@@ -254,14 +257,9 @@ ServeReport EpochServer::serve(RequestStream& stream) {
   // epoch already checkpointed this boundary).
   if (!options_.checkpointDir.empty() &&
       (log_.empty() || !log_.back().checkpointed)) {
-    const std::uint64_t epochs = logBase_ + log_.size();
-    try {
+    attributeFailure(Stage::Checkpoint, lastEpoch, [&] {
       writeCheckpointFile(snapshotStateAt(epochs), options_.checkpointDir);
-    } catch (const Error&) {
-      throw;
-    } catch (const std::exception& e) {
-      throw Error(Stage::Checkpoint, epochs == 0 ? 0 : epochs - 1, e.what());
-    }
+    });
     ++checkpointsWritten_;
     if (!log_.empty()) log_.back().checkpointed = true;
   }
@@ -295,19 +293,10 @@ void EpochServer::beginPass(int workers, std::uint64_t epoch) {
   const std::shared_ptr<const workload::Workload> snapshot(
       std::shared_ptr<const workload::Workload>(), &aggregated_);
   // One attempt: beginHandoff is deterministic over the aggregated
-  // matrix, so retrying a real failure would only repeat it.
-  util::FaultInjector* const faults = options_.faults.get();
-  if (faults != nullptr &&
-      faults->fire(util::FaultKind::HandoffFail, epoch, -1)) {
-    throw Error(Stage::Handoff, epoch,
-                "injected handoff publication failure");
-  }
+  // matrix, so retrying a failure would only repeat it.
   std::unique_ptr<dynamic::HandoffPass> pass;
-  try {
-    pass = policy_->beginHandoff(snapshot, workers);
-  } catch (const std::exception& e) {
-    throw Error(Stage::Handoff, epoch, e.what());
-  }
+  attributeFailure(Stage::Handoff, epoch,
+                   [&] { pass = policy_->beginHandoff(snapshot, workers); });
   ++passesBegun_;
   pendingPasses_.emplace_back().pass = std::move(pass);
 }
@@ -337,17 +326,20 @@ void EpochServer::applyPendingMigrations(ObjectId x, int worker,
   }
 }
 
-void EpochServer::drainAllPasses(std::vector<EpochWorker>& slots) {
+void EpochServer::drainAllPasses(std::vector<EpochWorker>& slots,
+                                 std::uint64_t epoch) {
   if (pendingPasses_.empty()) return;
   for (EpochWorker& slot : slots) slot.migration.clear();
-  core::parallelForObjects(
-      numObjects_, options_.threads, [&](ObjectId x, int worker) {
-        if (appliedVersion_[static_cast<std::size_t>(x)] >= passesBegun_) {
-          return;
-        }
-        EpochWorker& slot = slots[static_cast<std::size_t>(worker)];
-        applyPendingMigrations(x, worker, slot.migration, slot.acc);
-      });
+  attributeFailure(Stage::Serve, epoch, [&] {
+    core::parallelForObjects(
+        numObjects_, options_.threads, [&](ObjectId x, int worker) {
+          if (appliedVersion_[static_cast<std::size_t>(x)] >= passesBegun_) {
+            return;
+          }
+          EpochWorker& slot = slots[static_cast<std::size_t>(worker)];
+          applyPendingMigrations(x, worker, slot.migration, slot.acc);
+        });
+  });
   for (const EpochWorker& slot : slots) addLoads(loads_, slot.migration);
 }
 

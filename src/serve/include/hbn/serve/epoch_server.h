@@ -72,7 +72,6 @@
 #include "hbn/serve/epoch_body.h"
 #include "hbn/serve/pipeline.h"
 #include "hbn/serve/request_stream.h"
-#include "hbn/util/fault.h"
 #include "hbn/util/stats.h"
 #include "hbn/workload/workload.h"
 
@@ -118,11 +117,6 @@ struct ServeOptions {
   /// Epochs between checkpoints (>= 1); only read when checkpointDir is
   /// set.
   std::uint64_t checkpointEvery = 1;
-  /// Deterministic fault injection (util::FaultInjector specs —
-  /// shard-throw@epochN:shardM, handoff-fail@epochN); null injects
-  /// nothing. Shared so the CLI, tests and
-  /// benchmarks can inspect trigger counts after the run.
-  std::shared_ptr<util::FaultInjector> faults;
 };
 
 /// One epoch's record in the serve log.
@@ -275,7 +269,7 @@ class EpochServer {
 
   /// Opens a HandoffPass over aggregated_ (zero-copy; see the
   /// HandoffPass row-stability contract) and queues it. A failure
-  /// (injected or real) throws serve::Error{Handoff, epoch}.
+  /// throws serve::Error{Handoff, epoch}.
   void beginPass(int workers, std::uint64_t epoch);
   /// Applies every pass still pending for `x`, charging migration
   /// traffic into `migration` via `acc`. Called from workers (the
@@ -285,8 +279,9 @@ class EpochServer {
                               core::FlatLoadAccumulator& acc);
   /// Applies all pending passes to every object now (the barrier drain
   /// and the end-of-stream drain) on the per-worker slots, merging
-  /// migration traffic into loads_.
-  void drainAllPasses(std::vector<EpochWorker>& slots);
+  /// migration traffic into loads_. A policy failure throws
+  /// serve::Error{Serve, epoch}.
+  void drainAllPasses(std::vector<EpochWorker>& slots, std::uint64_t epoch);
   /// Pops fully applied passes off the front of the pending queue.
   void retireAppliedPasses();
   /// snapshotState with an explicit completed-epoch count (the serve
@@ -310,8 +305,8 @@ class EpochServer {
   core::LoadMap serveLoads_;
   std::vector<EpochRecord> log_;
   /// Epochs completed before log_ began (nonzero after restoreFrom):
-  /// the absolute index of epoch record i is logBase_ + i, and fault
-  /// specs address epochs in absolute terms.
+  /// the absolute index of epoch record i is logBase_ + i, and
+  /// serve::Error names epochs in absolute terms.
   std::uint64_t logBase_ = 0;
   std::uint64_t servedTotal_ = 0;
   core::Count replications_ = 0;

@@ -1,10 +1,10 @@
 // Structured failure taxonomy for the serving engine.
 //
 // Every stage failure inside EpochServer — an ingest pull that dies, a
-// worker exception while serving a shard, an exhausted handoff retry, a
-// checkpoint that cannot be written or read back — surfaces as one
-// serve::Error carrying the stage, the epoch index, and the underlying
-// cause. The CLI maps each stage to a distinct exit code (see
+// policy exception while serving an epoch, a handoff pass that cannot
+// be begun, a checkpoint that cannot be written or read back — surfaces
+// as one serve::Error carrying the stage, the epoch index, and the
+// underlying cause. The CLI maps each stage to a distinct exit code (see
 // docs/robustness.md for the table), so supervisors can tell a corrupt
 // trace from a failed checkpoint without parsing stderr.
 #pragma once
@@ -22,8 +22,8 @@ namespace hbn::serve {
 /// failure through one taxonomy and one exit-code table.
 enum class Stage {
   Ingest,      ///< stream pull / validation / bucketing
-  Serve,       ///< shard serving inside the worker pool
-  Handoff,     ///< §4 re-placement pass publication
+  Serve,       ///< serving inside an epoch (policy serve or migration)
+  Handoff,     ///< beginning a §4 re-placement pass
   Checkpoint,  ///< writing an epoch-boundary snapshot
   Restore,     ///< reading a snapshot back
   Connect,     ///< shard transport handshake / worker spawn

@@ -59,7 +59,7 @@ struct EpochBatch {
   std::vector<std::pair<Clock::time_point, std::size_t>> arrivals;
   std::size_t n = 0;  ///< requests in this epoch
   /// Absolute epoch number this batch holds (baseEpoch + fills so far)
-  /// — fault specs and ingest errors name epochs in these terms.
+  /// — ingest errors name epochs in these terms.
   std::uint64_t epoch = 0;
 
   /// Bytes of per-request buffering this batch holds.

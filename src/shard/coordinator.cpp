@@ -59,10 +59,6 @@ ShardCoordinator::ShardCoordinator(const net::Tree& tree, int numObjects,
         "ShardCoordinator: checkpointing is single-process only "
         "(drop --checkpoint-dir for sharded serving)");
   }
-  if (options_.serve.faults != nullptr) {
-    throw std::invalid_argument(
-        "ShardCoordinator: fault injection is single-process only");
-  }
   drift_.replaceDrift = options_.serve.replaceDrift;
 }
 

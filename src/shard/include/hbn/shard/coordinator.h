@@ -67,7 +67,7 @@ namespace hbn::shard {
 /// Sharded-serving knobs. `serve` carries the engine configuration
 /// (epochSize, policy, replaceDrift, pipeline); each worker serves on
 /// one thread, so serve.threads must be 1, and checkpointing/restore
-/// and fault injection are single-process features and must be off.
+/// is a single-process feature and must be off.
 struct ShardOptions {
   serve::ServeOptions serve;
   Partition::Kind partition = Partition::Kind::Hash;
@@ -116,8 +116,7 @@ class ShardCoordinator {
   /// transports, one per worker, whose peer ends run
   /// shard::runWorker; the coordinator borrows them (clusters own
   /// them — see hbn/shard/process.h). Throws std::invalid_argument on
-  /// unsupported options (threads != 1, checkpointing, fault
-  /// injection, no links).
+  /// unsupported options (threads != 1, checkpointing, no links).
   ShardCoordinator(const net::Tree& tree, int numObjects,
                    ShardOptions options,
                    std::vector<FramedTransport*> links,

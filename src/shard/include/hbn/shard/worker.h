@@ -42,7 +42,7 @@
 namespace hbn::shard {
 
 /// Runs the worker protocol loop over `transport` until Fin or error.
-/// serve::Error (own failures and injected ones alike) is sent to the
+/// serve::Error (a policy exception counts as Error{Serve}) is sent to the
 /// coordinator as an Error frame and rethrown; transport errors
 /// (coordinator death) are rethrown directly.
 void runWorker(FramedTransport& transport);

@@ -63,7 +63,7 @@ class ShardWorker {
   }
 
   /// Serves Epoch/Decide/Fin frames until Fin; throws serve::Error on
-  /// protocol violations and injected/structural failures.
+  /// protocol violations and structural failures.
   void run() {
     for (;;) {
       Frame frame = transport_.recv();
@@ -86,6 +86,9 @@ class ShardWorker {
       }
     }
   }
+
+  /// The epoch being served (0 before the first).
+  [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
 
  private:
   /// Decodes an epoch frame into offsets_/bucketed_/touched_: every run
@@ -332,7 +335,7 @@ class ShardWorker {
 }  // namespace
 
 void runWorker(FramedTransport& transport) {
-  std::uint64_t epoch = 0;
+  std::unique_ptr<ShardWorker> worker;
   try {
     Frame hello = transport.recv();
     if (hello.type != FrameType::kHello) {
@@ -356,7 +359,7 @@ void runWorker(FramedTransport& transport) {
     }
     // Stack construction failures — unparsable tree, unknown policy
     // spec, bad partition parameters — are handshake failures.
-    auto worker = [&] {
+    worker = [&] {
       try {
         return std::make_unique<ShardWorker>(transport, msg);
       } catch (const serve::Error&) {
@@ -383,9 +386,11 @@ void runWorker(FramedTransport& transport) {
     }
     throw;
   } catch (const std::exception& e) {
+    // Anything else — a policy exception while serving or migrating —
+    // is the serve stage's failure at the epoch in hand.
     ErrorMsg err;
     err.stage = static_cast<std::uint32_t>(serve::Stage::Serve);
-    err.epoch = epoch;
+    err.epoch = worker != nullptr ? worker->epoch() : 0;
     err.cause = e.what();
     try {
       transport.send(FrameType::kError, err.encode());

@@ -1,6 +1,6 @@
 // Checkpoint/restore conformance: every registered policy spec must
 // survive the kill-and-restore property — serve with epoch-boundary
-// checkpointing, die mid-epoch (injected shard throw), restore the
+// checkpointing, die mid-epoch (a poisoned event), restore the
 // latest snapshot into a fresh server, re-serve the remaining stream,
 // and end bit-identical to an uninterrupted run — across thread counts
 // and both engines. Plus: checkpointing itself is digest-neutral, a
@@ -14,6 +14,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,7 +25,6 @@
 #include "hbn/serve/epoch_server.h"
 #include "hbn/serve/error.h"
 #include "hbn/serve/request_stream.h"
-#include "hbn/util/fault.h"
 #include "hbn/workload/generators.h"
 
 namespace hbn::serve {
@@ -125,20 +125,22 @@ TEST(Checkpoint, KillRestoreIsBitIdentical) {
         const std::string reference = serveUninterrupted(
             rooted, events, makeOptions(spec, threads, pipeline));
 
-        // The doomed run: checkpoint every epoch, die at kKillEpoch.
+        // The doomed run: checkpoint every epoch, die mid-epoch
+        // kKillEpoch on an out-of-range object id.
         const std::filesystem::path dir = freshDir("kill");
         {
           ServeOptions options = makeOptions(spec, threads, pipeline);
           options.checkpointDir = dir.string();
-          options.faults = util::makeFaultInjector(
-              "shard-throw@epoch" + std::to_string(kKillEpoch));
           EpochServer server(rooted, kObjects, options);
-          VectorStream stream({events.begin(), events.end()});
+          std::vector<workload::RequestEvent> poisoned = events;
+          poisoned[kKillEpoch * kEpochSize + kEpochSize / 2].object =
+              kObjects + 7;
+          VectorStream stream(std::move(poisoned));
           try {
             (void)server.serve(stream);
-            FAIL() << "injected shard throw did not surface";
+            FAIL() << "poisoned event did not surface";
           } catch (const Error& e) {
-            EXPECT_EQ(e.stage(), Stage::Serve);
+            EXPECT_EQ(e.stage(), Stage::Ingest);
             EXPECT_EQ(e.epoch(), kKillEpoch);
           }
         }

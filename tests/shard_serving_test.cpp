@@ -30,7 +30,6 @@
 #include "hbn/shard/transport.h"
 #include "hbn/shard/wire.h"
 #include "hbn/shard/worker.h"
-#include "hbn/util/fault.h"
 
 namespace hbn::shard {
 namespace {
@@ -427,12 +426,6 @@ TEST(ShardServing, CoordinatorValidatesOptions) {
   checkpointing.serve.checkpointDir = "/tmp/nope";
   EXPECT_THROW(ShardCoordinator(tree, kObjects, checkpointing,
                                 cluster->links(), "test"),
-               std::invalid_argument);
-
-  ShardOptions faulty = baseOptions("tree-counters");
-  faulty.serve.faults = util::makeFaultInjector("shard-throw@epoch0");
-  EXPECT_THROW(ShardCoordinator(tree, kObjects, faulty, cluster->links(),
-                                "test"),
                std::invalid_argument);
 
   // Workers serve on one thread; 0 (all cores) is not 1 either.

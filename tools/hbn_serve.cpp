@@ -40,7 +40,6 @@
 #include "hbn/shard/coordinator.h"
 #include "hbn/shard/partition.h"
 #include "hbn/shard/process.h"
-#include "hbn/util/fault.h"
 #include "hbn/util/json.h"
 #include "hbn/util/stats.h"
 #include "hbn/util/table.h"
@@ -69,7 +68,6 @@ struct ServeCli {
   std::string checkpointDir;    ///< empty = checkpointing off
   std::uint64_t checkpointEvery = 1;
   std::string restoreDir;       ///< resume from this checkpoint dir
-  std::string inject;           ///< comma-joined fault specs
   double peerTimeout = 0.0;     ///< shard peer watchdog ms; 0 = forever
   int workers = 0;              ///< sharded workers; 0 = single-process
   std::string transport = "loopback";  ///< loopback | socket
@@ -165,11 +163,6 @@ ServeCli parseServeCli(int argc, char** argv) {
       }
     } else if (arg == "--restore") {
       cli.restoreDir = value(arg);
-    } else if (arg == "--inject") {
-      // Repeatable; specs accumulate (each may itself be a comma list).
-      const std::string spec = value(arg);
-      if (!cli.inject.empty()) cli.inject += ',';
-      cli.inject += spec;
     } else if (arg == "--peer-timeout") {
       cli.peerTimeout = parseDoubleFlag(arg, value(arg), 0.0, 1e9);
     } else if (arg == "--workers" || arg.rfind("--workers=", 0) == 0) {
@@ -235,16 +228,13 @@ void printUsage(std::ostream& os) {
         "                    stream is rebuilt and the served prefix\n"
         "                    skipped; the resumed run's final state is\n"
         "                    bit-identical to an uninterrupted one)\n"
-        "  --inject SPEC     arm a deterministic fault (repeatable):\n"
-        "                    shard-throw@epochN[:shardM] |\n"
-        "                    handoff-fail@epochN[:times=K]\n"
         "  --workers N       shard the object space over N workers and\n"
         "                    serve through the coordinator/worker protocol\n"
         "                    (docs/sharding.md); 0 = single-process engine\n"
         "                    (default). Bit-identical loads and ratio for\n"
         "                    any N. Each worker serves on one thread, so\n"
         "                    --threads must stay 1. Incompatible with\n"
-        "                    --checkpoint-dir, --restore and --inject.\n"
+        "                    --checkpoint-dir and --restore.\n"
         "  --transport T     worker transport: loopback (in-process\n"
         "                    threads) | socket (fork+exec'd processes over\n"
         "                    Unix sockets); default loopback\n"
@@ -339,9 +329,6 @@ void printReport(const ServeCli& cli, const hbn::serve::ServeOptions& options,
             << report.replications << " replications, "
             << report.invalidations << " invalidations\n"
             << report.checkpoints << " checkpoints\n";
-  if (options.faults && options.faults->triggered() > 0) {
-    std::cout << options.faults->triggered() << " faults injected\n";
-  }
   if (sharded != nullptr) {
     std::cout << "cross-shard traffic " << sharded->crossShardBytes
               << " bytes (" << util::formatDouble(sharded->bytesPerRequest, 1)
@@ -468,12 +455,11 @@ int main(int argc, char** argv) {
           "(nest it: --policy static:placement=SPEC)");
     }
     if (cli.workers > 0 &&
-        (!cli.checkpointDir.empty() || !cli.restoreDir.empty() ||
-         !cli.inject.empty())) {
+        (!cli.checkpointDir.empty() || !cli.restoreDir.empty())) {
       throw std::invalid_argument(
-          "--workers is incompatible with --checkpoint-dir/--restore/"
-          "--inject: checkpointing and fault injection are single-process "
-          "features (see docs/sharding.md)");
+          "--workers is incompatible with --checkpoint-dir/--restore: "
+          "checkpointing is a single-process feature (see "
+          "docs/sharding.md)");
     }
     if (cli.workers == 0 && cli.peerTimeout > 0.0) {
       throw std::invalid_argument(
@@ -532,7 +518,6 @@ int main(int argc, char** argv) {
     options.latencySample = cli.latencySample;
     options.checkpointDir = cli.checkpointDir;
     options.checkpointEvery = cli.checkpointEvery;
-    options.faults = util::makeFaultInjector(cli.inject);
 
     if (cli.workers > 0) {
       // Sharded mode: fan the stream out over a worker cluster through
